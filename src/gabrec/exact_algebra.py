@@ -11,16 +11,27 @@ degree m together with a generating automorphism theta:
 * ``KummerTower(n, radicand)`` for 4 | n: K is the cyclotomic field of
   conductor n (so i lies in K), L = K(alpha) with alpha^n = radicand,
   m = n, the power basis is (1, alpha, ..., alpha^(n-1)) and theta maps
-  alpha to zeta_n * alpha.
+  alpha to zeta_n * alpha.  The radicand is rejected unless x^n - radicand
+  is irreducible over K, so L is a field (with radicand 2: 8 does not divide n).
 
 Scalars of K are :class:`fractions.Fraction` for the cyclotomic tower and
 :class:`CyclotomicElement` for the Kummer tower.  All arithmetic is exact;
 no floating point is used anywhere.
+
+Coordinates are canonical ``Fraction`` tuples, but products in Q(zeta_n) are
+computed in integers: each operand is written over the common denominator
+of its coordinates, the numerators are convolved as Python ints and reduced
+by the monic integer cyclotomic polynomial, and each output coordinate is
+normalised once, as the product numerator over the product of the two
+denominators.  That one kernel multiplies in L for the cyclotomic tower and
+in K for the Kummer tower.  On the cyclotomic tower theta is a signed
+permutation of the coordinates, and inverses in L come from the norm.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -41,7 +52,6 @@ __all__ = [
     "smallest_primitive_root",
     "cyclotomic_polynomial",
     "scalar_to_text",
-    "scalar_from_text",
 ]
 
 Rational = Union[int, Fraction]
@@ -130,6 +140,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over the rationals (ascending coefficient lists)
+
+_ZERO = Fraction(0)
+
+
+def _common_numerators(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
+    # (d, [c * d for c in coords]) for the least common denominator d
+    dens = [c.denominator for c in coords]
+    den = math.lcm(*dens)
+    if den == 1:
+        return 1, [c.numerator for c in coords]
+    return den, [c.numerator * (den // q) for c, q in zip(coords, dens)]
+
 
 def _poly_trim(a: list[Fraction]) -> list[Fraction]:
     while a and not a[-1]:
@@ -220,11 +242,6 @@ def scalar_to_text(value) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-def scalar_from_text(field, text: str):
-    """Parse an element of ``field`` (QQ, CyclotomicField or Tower) from text."""
-    return field.from_text(text)
-
-
 # ---------------------------------------------------------------------------
 # the rational base field
 
@@ -277,6 +294,10 @@ class CyclotomicField:
         self.conductor = conductor
         self.degree = euler_phi(conductor)
         self.modulus = tuple(Fraction(c) for c in cyclotomic_polynomial(conductor))
+        # nonzero lower coefficients of the monic integer modulus
+        self._reduction_terms = [
+            (i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:-1]) if c
+        ]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclotomicField) and other.conductor == self.conductor
@@ -316,6 +337,28 @@ class CyclotomicField:
         if isinstance(value, (int, Fraction)):
             return self.element([value])
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
+
+    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        # Product of two reduced coordinate vectors, computed on integer
+        # numerators.  Degrees from the conductor up fold down by zeta^n = 1
+        # (Phi_n divides x^n - 1); the rest reduce by the monic integer Phi_n.
+        d, n = self.degree, self.conductor
+        da, na = _common_numerators(a)
+        db, nb = _common_numerators(b)
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(na):
+            if x:
+                for j, y in enumerate(nb):
+                    prod[i + j] += x * y
+        for k in range(n, len(prod)):
+            prod[k - n] += prod[k]
+        for k in range(min(len(prod), n) - 1, d - 1, -1):
+            c = prod[k]
+            if c:
+                for i, coeff in self._reduction_terms:
+                    prod[k - d + i] -= c * coeff
+        den = da * db
+        return tuple(Fraction(x, den) if x else _ZERO for x in prod[:d])
 
     def _reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(coeffs) > self.degree:
@@ -376,8 +419,7 @@ class CyclotomicElement:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = _poly_mul(self.coords, other.coords)
-        return CyclotomicElement(self.field, self.field._reduce(_poly_trim(prod)))
+        return CyclotomicElement(self.field, self.field._mul_coords(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -515,8 +557,11 @@ class CyclotomicTower(Tower):
         self.scalar_field = QQ
         self.primitive_root = smallest_primitive_root(conductor)
         self._field = CyclotomicField(conductor)
-        # reduced coordinates of zeta^e for e = 0..p-1
-        self._zeta_pow = [self._field.zeta(e).coords for e in range(conductor)]
+        # theta^j sends coordinate e (of zeta^e) to zeta^(g^j e mod p), for j = 0..m-1
+        self._theta_images = [
+            [pow(self.primitive_root, j, conductor) * e % conductor for e in range(self.m)]
+            for j in range(self.m)
+        ]
         self._check_theta_order()
 
     def __eq__(self, other) -> bool:
@@ -532,17 +577,20 @@ class CyclotomicTower(Tower):
         return self.basis[1]  # zeta
 
     def _mul_coords(self, a: tuple, b: tuple) -> tuple:
-        prod = _poly_mul(a, b)
-        return self._field._reduce(_poly_trim(prod))
+        return self._field._mul_coords(a, b)
 
     def _theta_coords(self, coords: tuple, j: int) -> tuple:
-        gj = pow(self.primitive_root, j % self.m, self.conductor)
-        out = [Fraction(0)] * self.m
-        for e, c in enumerate(coords):
-            if c:
-                image = self._zeta_pow[(gj * e) % self.conductor]
-                for i, v in enumerate(image):
-                    out[i] += c * v
+        # a signed permutation: the one coordinate sent to zeta^(p-1) =
+        # -(1 + zeta + ... + zeta^(p-2)) is subtracted from every coordinate
+        out = [_ZERO] * self.m
+        spill = _ZERO
+        for c, e in zip(coords, self._theta_images[j % self.m]):
+            if e == self.m:
+                spill = c
+            else:
+                out[e] = c
+        if spill:
+            return tuple(c - spill for c in out)
         return tuple(out)
 
 
@@ -568,18 +616,19 @@ class KummerTower(Tower):
 
     @staticmethod
     def _check_radicand(n: int, c: Fraction) -> None:
-        # Necessary conditions for x^n - c to stay irreducible over Q(zeta_n),
-        # checkable in rational arithmetic: c must not be a d-th power for any
-        # prime d | n (for d = 2 the test is on |c| since i is in K), and must
-        # not equal -4*w^4.  Irreducibility beyond these checks is assumed.
+        # With zeta_n in K, x^n - c is irreducible over K iff c is not a d-th
+        # power in K for any prime d | n and, as 4 | n, not in -4K^4.  As i is
+        # in K, -4 = (1+i)^4, so -4K^4 = K^4 lies in K^2 and the square test
+        # covers it.  For odd d a rational c is a d-th power in K only if it
+        # is one in Q: otherwise Q(c^(1/d)) in K would be normal of degree d
+        # and contain zeta_d, of degree d - 1.
         if c == 0 or c == 1 or c == -1:
             raise ValueError(f"radicand {c} has an n-th root in the base field")
         for d in prime_factors(n):
-            probe = abs(c) if d == 2 else c
-            if _is_rational_power(probe, d):
+            if d == 2 and _is_square_in_cyclotomic(c, n):
+                raise ValueError(f"radicand {c} is a square in Q(zeta_{n}), extension collapses")
+            if d != 2 and _is_rational_power(c, d):
                 raise ValueError(f"radicand {c} is a {d}-th power, extension collapses")
-        if _is_rational_power(-c / 4, 4):
-            raise ValueError(f"radicand {c} is -4 times a fourth power, extension collapses")
 
     def __eq__(self, other) -> bool:
         return (
@@ -622,6 +671,17 @@ class KummerTower(Tower):
         return tuple(
             c * self._zeta_pows[(i * j) % self.n] for i, c in enumerate(coords)
         )
+
+
+def _is_square_in_cyclotomic(c: Fraction, n: int) -> bool:
+    # For 4 | n the quadratic subfields of Q(zeta_n) are Q(sqrt s) for s in
+    # the group generated by -1, the odd primes dividing n and, when 8 | n,
+    # 2; so c is a square in Q(zeta_n) iff c*s is a rational square for one.
+    generators = [-1] + [p for p in prime_factors(n) if p != 2] + ([2] if n % 8 == 0 else [])
+    group = [1]
+    for g in generators:
+        group += [s * g for s in group]
+    return any(_is_rational_power(c * s, 2) for s in group)
 
 
 def _is_rational_power(c: Fraction, d: int) -> bool:
@@ -706,21 +766,23 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse, via the m-by-m multiplication system over K."""
+        """Multiplicative inverse by the norm: a^-1 = theta(a)...theta^(m-1)(a) / N(a).
+
+        N(a) = a * theta(a) * ... * theta^(m-1)(a) is fixed by theta, so it
+        lies in K.  If it is zero, or not in K, the tower is not a field and
+        ArithmeticError is raised.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        from .exact_linalg import Matrix, solve
-
         tower = self.tower
-        columns = [(self * b).coords for b in tower.basis]
-        mat = Matrix(
-            tower.scalar_field,
-            [[columns[j][i] for j in range(tower.m)] for i in range(tower.m)],
-        )
-        solution = solve(mat, list(tower.one.coords))
-        if solution is None:  # pragma: no cover - cannot happen in a field
-            raise ArithmeticError("multiplication matrix is singular")
-        return FieldElement(tower, tuple(solution))
+        conjugates = tower._theta_coords(self.coords, 1)
+        for j in range(2, tower.m):
+            conjugates = tower._mul_coords(conjugates, tower._theta_coords(self.coords, j))
+        norm = tower._mul_coords(self.coords, conjugates)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is zero or not in the base field")
+        scale = norm[0].inverse() if hasattr(norm[0], "inverse") else 1 / norm[0]
+        return FieldElement(tower, tuple(scale * c for c in conjugates))
 
     def __truediv__(self, other):
         other = self._match(other)

@@ -89,6 +89,7 @@ def test_demo_seed_env_fallback(tmp_path, monkeypatch):
 def test_demo_usage_errors(tmp_path):
     assert main(["demo", "--tower", "cyclotomic:6"]) == USAGE_ERROR
     assert main(["demo", "--tower", "nonsense"]) == USAGE_ERROR
+    assert main(["demo", "--tower", "kummer:8"]) == USAGE_ERROR  # not a field
     assert main(["demo", "--n", "3"]) == USAGE_ERROR  # pipeline needs n = m
     assert main(["demo", "--trials", "0"]) == USAGE_ERROR
     assert main(["demo", "--rank", "5"]) == USAGE_ERROR

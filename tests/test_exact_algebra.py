@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_element, rand_nonzero_element, rand_scalar
-from gabrec import Matrix, QQ, apply_theta, make_tower, rank, tower_from_spec
+from gabrec import Matrix, QQ, apply_theta, make_tower, rank, solve, tower_from_spec
 from gabrec.exact_algebra import (
     CyclotomicField,
+    KummerTower,
+    _poly_divmod,
+    _poly_mul,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -41,7 +44,9 @@ def test_cyclotomic_tower_rejects_nonprime(conductor):
         make_tower("cyclotomic", conductor)
 
 
-@pytest.mark.parametrize("n", [2, 6, 10])
+# 8 and 16 with the default radicand 2: sqrt 2 = zeta_8 + zeta_8^-1 lies in K,
+# so x^n - 2 factors over K and the tower would have zero divisors
+@pytest.mark.parametrize("n", [2, 6, 10, 8, 16])
 def test_kummer_tower_rejects_bad_degree(n):
     with pytest.raises(ValueError):
         make_tower("kummer", n)
@@ -52,6 +57,15 @@ def test_kummer_tower_rejects_collapsing_radicand(radicand):
     # 4 and 9/4 are squares, 16 a fourth power, -4 = -4 * 1^4
     with pytest.raises(ValueError):
         make_tower("kummer", 4, radicand)
+
+
+def test_kummer_tower_builds_only_fields():
+    for n in (4, 12):
+        assert make_tower("kummer", n).m == n
+    # sqrt 3 = zeta_12 + zeta_12^-1, sqrt -3 and sqrt 12 lie in Q(zeta_12)
+    for radicand in (3, -3, 12):
+        with pytest.raises(ValueError):
+            make_tower("kummer", 12, radicand)
 
 
 def test_tower_from_spec():
@@ -111,6 +125,22 @@ def test_invert_alpha(kummer4):
 def test_invert_zero_raises(zeta5):
     with pytest.raises(ZeroDivisionError):
         zeta5.zero.inverse()
+
+
+def test_invert_zero_divisor_raises(monkeypatch):
+    # kummer:8 is refused because sqrt 2 lies in K; built anyway, it is a
+    # ring with zero divisors, and inverse() must refuse them
+    monkeypatch.setattr(KummerTower, "_check_radicand", staticmethod(lambda n, c: None))
+    tower = make_tower("kummer", 8)
+    field = tower.scalar_field
+    sqrt2 = tower.embed_scalar(field.zeta(1) + field.zeta(7))
+    a, b = tower.basis[1] ** 4 - sqrt2, tower.basis[1] ** 4 + sqrt2
+    assert a and b and not a * b
+    for x in (a, b):
+        with pytest.raises(ArithmeticError):
+            x.inverse()
+    c = tower.basis[1] + tower.one
+    assert c * c.inverse() == tower.one
 
 
 def test_invert_random(zeta5, kummer4):
@@ -255,3 +285,97 @@ def test_cyclotomic_field_inverse():
     assert (1 + i) * (1 + i).inverse() == field.one
     with pytest.raises(ZeroDivisionError):
         field.zero.inverse()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the plain Fraction algorithms they replace
+
+
+def _ref_mul(field, a, b):
+    # Fraction product, then generic division by the Fraction modulus
+    _, rem = _poly_divmod(_poly_mul(a, b), field.modulus)
+    return tuple(rem) + (Fraction(0),) * (field.degree - len(rem))
+
+
+def _ref_theta(tower, coords, j):
+    # multiply-add over the reduced coordinates of zeta^(g^j e)
+    p, field = tower.conductor, tower._field
+    gj = pow(tower.primitive_root, j % tower.m, p)
+    out = [Fraction(0)] * tower.m
+    for e, c in enumerate(coords):
+        for i, v in enumerate(field.zeta(gj * e % p).coords):
+            out[i] += c * v
+    return tuple(out)
+
+
+def _ref_inverse(tower, columns):
+    # solve the m-by-m multiplication system over K, given the coordinates
+    # of a * b for each basis element b
+    mat = Matrix(
+        tower.scalar_field,
+        [[columns[j][i] for j in range(tower.m)] for i in range(tower.m)],
+    )
+    return tuple(solve(mat, list(tower.one.coords)))
+
+
+def _probe_coords(rng, size):
+    """Dense vectors with non-integer rationals and zeros, then unit-like vectors."""
+    dense = [
+        [
+            Fraction(rng.randint(-40, 40), rng.randint(2, 9)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(size)
+        ]
+        for _ in range(3)
+    ]
+    single = []
+    for e in range(size):
+        vec = [Fraction(0)] * size
+        vec[e] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        single.append(vec)
+    return dense + single
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cyclotomic_tower_kernels_match_fraction_reference(p):
+    rng = random.Random(p)
+    tower = make_tower("cyclotomic", p)
+    field = tower._field
+    elements = [tower.from_coords(c) for c in _probe_coords(rng, tower.m)]
+    for a in elements:
+        for b in elements[:4]:
+            assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
+        for j in (-tower.m - 2, -1, 0, 1, 2, tower.m - 1, tower.m, 2 * tower.m + 3):
+            assert a.theta(j).coords == _ref_theta(tower, a.coords, j)
+    for a in elements[:2] + rng.sample(elements[3:], 2):
+        columns = [_ref_mul(field, a.coords, b.coords) for b in tower.basis]
+        assert a.inverse().coords == _ref_inverse(tower, columns)
+
+
+@pytest.mark.parametrize("conductor", [4, 8, 12])
+def test_cyclotomic_field_product_matches_fraction_reference(conductor):
+    rng = random.Random(conductor)
+    field = CyclotomicField(conductor)
+    elements = [field.element(c) for c in _probe_coords(rng, field.degree)]
+    for a in elements:
+        for b in elements:
+            assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
+
+
+def test_kummer_inverse_matches_solve(kummer4):
+    rng = random.Random(8)
+    field, n, c = kummer4.scalar_field, kummer4.n, kummer4.radicand
+
+    def times_alpha_power(a, j):
+        # a * alpha^j: a cyclic shift, with the wrapped part times the radicand
+        return [
+            field.element([x * (c if i < j else 1) for x in a[(i - j) % n].coords])
+            for i in range(n)
+        ]
+
+    for coords in _probe_coords(rng, n * field.degree):
+        a = kummer4.from_coords(
+            [field.element(coords[i : i + field.degree]) for i in range(0, len(coords), field.degree)]
+        )
+        if a:
+            columns = [times_alpha_power(a.coords, j) for j in range(n)]
+            assert a.inverse().coords == _ref_inverse(kummer4, columns)
