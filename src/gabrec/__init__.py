@@ -42,7 +42,7 @@ from .lrmr import (
     record_to_json,
     recover,
 )
-from .rank_metric import WEIGHT_KINDS, ExtMatrix, ext, ext_inv, rank_distance, rank_weight, theta_matrix
+from .rank_metric import WEIGHT_KINDS, ext, ext_inv, rank_distance, rank_weight, theta_matrix
 from .skew_poly import SkewPoly, format_poly, left_divide, msp, parse_poly
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "msp",
     "parse_poly",
     "WEIGHT_KINDS",
-    "ExtMatrix",
     "ext",
     "ext_inv",
     "rank_distance",

@@ -18,14 +18,21 @@ Scalars of K are :class:`fractions.Fraction` for the cyclotomic tower and
 :class:`CyclotomicElement` for the Kummer tower.  All arithmetic is exact;
 no floating point is used anywhere.
 
-Coordinates are canonical ``Fraction`` tuples, but products in Q(zeta_n) are
-computed in integers: each operand is written over the common denominator
-of its coordinates, the numerators are convolved as Python ints and reduced
-by the monic integer cyclotomic polynomial, and each output coordinate is
-normalised once, as the product numerator over the product of the two
-denominators.  That one kernel multiplies in L for the cyclotomic tower and
-in K for the Kummer tower.  On the cyclotomic tower theta is a signed
-permutation of the coordinates, and inverses in L come from the norm.
+Coordinates are canonical ``Fraction`` tuples, but arithmetic in Q(zeta_n)
+runs on integers: a vector is written over the common denominator of its
+coordinates, and one reduction step folds degrees from n down by zeta^n = 1,
+reduces the rest by the monic integer cyclotomic polynomial and normalises
+each output coordinate once.  The product (numerators convolved as Python
+ints), the Galois action sigma_a: zeta -> zeta^a (coordinate e moved to
+a*e mod n) and ``zeta(e)`` all end in that step.  That one kernel multiplies
+in L for the cyclotomic tower, where theta is sigma_g, and in K for the
+Kummer tower.
+
+Inverses in K and in L come from the norm: x^-1 is the product of the other
+Galois conjugates of x divided by N(x), the product of all of them.  In K
+the conjugates are sigma_a(x) for the units a != 1 modulo n, in L they are
+theta^j(x) for 0 < j < m.  The two element classes share every operator
+except the product and the inverse.
 """
 
 from __future__ import annotations
@@ -139,7 +146,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over the rationals (ascending coefficient lists)
+# rational coordinate vectors on integer numerators
 
 _ZERO = Fraction(0)
 
@@ -151,58 +158,6 @@ def _common_numerators(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
     if den == 1:
         return 1, [c.numerator for c in coords]
     return den, [c.numerator * (den // q) for c, q in zip(coords, dens)]
-
-
-def _poly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        c = a[shift + len(b) - 1] * inv_lead
-        q[shift] = c
-        if c:
-            for i, d in enumerate(b):
-                a[shift + i] -= c * d
-    return q, _poly_trim(a)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
-def _poly_xgcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    # returns (g, s, t) with s*a + t*b = g, all ascending coefficient lists
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +192,7 @@ def scalar_to_text(value) -> str:
     """Render a Fraction, CyclotomicElement or FieldElement in the text format."""
     if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, (CyclotomicElement, FieldElement)):
+    if isinstance(value, _Element):
         return "(" + ",".join(scalar_to_text(c) for c in value.coords) + ")"
     raise TypeError(f"cannot format {type(value).__name__}")
 
@@ -278,6 +233,112 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
+# elements held as coordinates over a field handle
+
+class _Element:
+    """Operators shared by the elements of Q(zeta_n) and of a tower's L.
+
+    ``field`` is the handle the element belongs to: a :class:`CyclotomicField`
+    or a :class:`Tower`.  Each subclass defines its own product and inverse.
+    """
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field, coords: tuple):
+        self.field = field
+        self.coords = coords
+
+    def _match(self, other):
+        if type(other) is type(self):
+            if other.field != self.field:
+                raise ValueError(f"{self.field!r} and {other.field!r} mismatch")
+            return other
+        try:
+            return self.field.coerce(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+
+    def __add__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return type(self)(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return type(self)(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return type(self)(self.field, tuple(-a for a in self.coords))
+
+    def __truediv__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        out = self.field.one
+        base = self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            base = base * base
+            exponent >>= 1
+        return out
+
+    def _norm_inverse(self, conjugates: Iterable[tuple], mul):
+        # x^-1 = c_1 ... c_r / N(x), given the coordinates of the Galois
+        # conjugates c_i of x other than x and the coordinate product.
+        # N(x) = x c_1 ... c_r is fixed by the Galois group, so it lies in the
+        # base field; if it is zero or not there, the ring is not a field.
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        conjugates = iter(conjugates)
+        product = next(conjugates)
+        for c in conjugates:
+            product = mul(product, c)
+        norm = mul(self.coords, product)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is zero or not in the base field")
+        scale = norm[0].inverse() if isinstance(norm[0], _Element) else 1 / norm[0]
+        return type(self)(self.field, tuple(scale * c for c in product))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            try:
+                other = self.field.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.field == other.field and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        # an element of the base field hashes as that scalar, down to the
+        # Fraction, so that it hashes like the scalars it equals
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
+        return hash((self.field, self.coords))
+
+    def __bool__(self) -> bool:
+        return any(self.coords)
+
+    def __repr__(self) -> str:
+        return scalar_to_text(self)
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic fields Q(zeta_n)
 
 class CyclotomicField:
@@ -293,11 +354,13 @@ class CyclotomicField:
             raise ValueError("conductor must be at least 3")
         self.conductor = conductor
         self.degree = euler_phi(conductor)
-        self.modulus = tuple(Fraction(c) for c in cyclotomic_polynomial(conductor))
         # nonzero lower coefficients of the monic integer modulus
         self._reduction_terms = [
             (i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:-1]) if c
         ]
+        # the units a != 1 modulo the conductor: sigma_a, zeta -> zeta^a, are
+        # the Galois automorphisms other than the identity
+        self._other_units = [a for a in range(2, conductor) if math.gcd(a, conductor) == 1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclotomicField) and other.conductor == self.conductor
@@ -325,9 +388,9 @@ class CyclotomicField:
 
     def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta^power, reduced to the power basis."""
-        e = power % self.conductor
-        raw = [Fraction(0)] * e + [Fraction(1)]
-        return CyclotomicElement(self, self._reduce(raw))
+        numerators = [0] * self.conductor
+        numerators[power % self.conductor] = 1
+        return CyclotomicElement(self, self._reduce_numerators(numerators, 1))
 
     def coerce(self, value) -> CyclotomicElement:
         if isinstance(value, CyclotomicElement):
@@ -338,33 +401,41 @@ class CyclotomicField:
             return self.element([value])
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
 
-    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        # Product of two reduced coordinate vectors, computed on integer
-        # numerators.  Degrees from the conductor up fold down by zeta^n = 1
-        # (Phi_n divides x^n - 1); the rest reduce by the monic integer Phi_n.
+    def _reduce_numerators(self, numerators: list[int], den: int) -> tuple[Fraction, ...]:
+        # Coordinates of sum(numerators[k] zeta^k) / den, for at least degree
+        # and fewer than 2 * conductor numerators, reduced in place.  Degrees
+        # from the conductor up fold down by zeta^n = 1 (Phi_n divides
+        # x^n - 1); the rest reduce by the monic integer Phi_n.  Each
+        # coordinate is normalised once.
         d, n = self.degree, self.conductor
+        for k in range(n, len(numerators)):
+            numerators[k - n] += numerators[k]
+        for k in range(min(len(numerators), n) - 1, d - 1, -1):
+            c = numerators[k]
+            if c:
+                for i, coeff in self._reduction_terms:
+                    numerators[k - d + i] -= c * coeff
+        return tuple(Fraction(x, den) if x else _ZERO for x in numerators[:d])
+
+    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        # product of two reduced coordinate vectors, on integer numerators
         da, na = _common_numerators(a)
         db, nb = _common_numerators(b)
-        prod = [0] * (2 * d - 1)
+        prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(na):
             if x:
                 for j, y in enumerate(nb):
                     prod[i + j] += x * y
-        for k in range(n, len(prod)):
-            prod[k - n] += prod[k]
-        for k in range(min(len(prod), n) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                for i, coeff in self._reduction_terms:
-                    prod[k - d + i] -= c * coeff
-        den = da * db
-        return tuple(Fraction(x, den) if x else _ZERO for x in prod[:d])
+        return self._reduce_numerators(prod, da * db)
 
-    def _reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(coeffs) > self.degree:
-            _, coeffs = _poly_divmod(coeffs, self.modulus)
-        out = list(coeffs) + [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(out)
+    def _sigma_coords(self, coords: Sequence[Fraction], a: int) -> tuple[Fraction, ...]:
+        # sigma_a: zeta -> zeta^a for a prime to the conductor moves the
+        # coordinate of zeta^e to zeta^(a e mod n)
+        den, nums = _common_numerators(coords)
+        out = [0] * self.conductor
+        for e, x in enumerate(nums):
+            out[a * e % self.conductor] = x
+        return self._reduce_numerators(out, den)
 
     def to_text(self, value) -> str:
         return scalar_to_text(self.coerce(value))
@@ -373,47 +444,10 @@ class CyclotomicField:
         return self.element([Fraction(part) for part in _split_tuple(text)])
 
 
-class CyclotomicElement:
+class CyclotomicElement(_Element):
     """Element of a :class:`CyclotomicField` in reduced power-basis coordinates."""
 
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: CyclotomicField, coords: tuple[Fraction, ...]):
-        self.field = field
-        self.coords = coords
-
-    def _match(self, other) -> "CyclotomicElement":
-        if isinstance(other, CyclotomicElement):
-            if other.field != self.field:
-                raise ValueError("cyclotomic field mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element([other])
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CyclotomicElement(self.field, tuple(-a for a in self.coords))
+    __slots__ = ()
 
     def __mul__(self, other):
         other = self._match(other)
@@ -424,52 +458,10 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _poly_xgcd(_poly_trim(list(self.coords)), self.field.modulus)
-        # g is a nonzero constant since the modulus is irreducible
-        inv = [c / g[0] for c in s]
-        return CyclotomicElement(self.field, self.field._reduce(_poly_trim(inv)))
-
-    def __truediv__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = self.field.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.element([other])
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coords))
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
-
-    def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
-    def __repr__(self) -> str:
-        return scalar_to_text(self)
+        """Multiplicative inverse by the norm to Q, the product of all sigma_a(x)."""
+        field = self.field
+        conjugates = (field._sigma_coords(self.coords, a) for a in field._other_units)
+        return self._norm_inverse(conjugates, field._mul_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +512,7 @@ class Tower:
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.tower != self:
+            if value.field != self:
                 raise ValueError("element from a different tower")
             return value
         return self.embed_scalar(value)
@@ -557,11 +549,6 @@ class CyclotomicTower(Tower):
         self.scalar_field = QQ
         self.primitive_root = smallest_primitive_root(conductor)
         self._field = CyclotomicField(conductor)
-        # theta^j sends coordinate e (of zeta^e) to zeta^(g^j e mod p), for j = 0..m-1
-        self._theta_images = [
-            [pow(self.primitive_root, j, conductor) * e % conductor for e in range(self.m)]
-            for j in range(self.m)
-        ]
         self._check_theta_order()
 
     def __eq__(self, other) -> bool:
@@ -580,18 +567,9 @@ class CyclotomicTower(Tower):
         return self._field._mul_coords(a, b)
 
     def _theta_coords(self, coords: tuple, j: int) -> tuple:
-        # a signed permutation: the one coordinate sent to zeta^(p-1) =
-        # -(1 + zeta + ... + zeta^(p-2)) is subtracted from every coordinate
-        out = [_ZERO] * self.m
-        spill = _ZERO
-        for c, e in zip(coords, self._theta_images[j % self.m]):
-            if e == self.m:
-                spill = c
-            else:
-                out[e] = c
-        if spill:
-            return tuple(c - spill for c in out)
-        return tuple(out)
+        # theta^j is sigma_(g^j)
+        g_j = pow(self.primitive_root, j % self.m, self.conductor)
+        return self._field._sigma_coords(coords, g_j)
 
 
 class KummerTower(Tower):
@@ -707,61 +685,20 @@ def _is_int_power(v: int, d: int) -> bool:
     return lo**d == v
 
 
-class FieldElement:
+class FieldElement(_Element):
     """Element of L held as exact coordinates with respect to the power basis."""
 
-    __slots__ = ("tower", "coords")
-
-    def __init__(self, tower: Tower, coords: tuple):
-        self.tower = tower
-        self.coords = coords
-
-    def _match(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.tower != self.tower:
-                raise ValueError("tower mismatch")
-            return other
-        try:
-            return self.tower.embed_scalar(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(
-            self.tower, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(
-            self.tower, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return FieldElement(self.tower, tuple(-a for a in self.coords))
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            if other.tower != self.tower:
-                raise ValueError("tower mismatch")
-            return FieldElement(
-                self.tower, self.tower._mul_coords(self.coords, other.coords)
-            )
+            other = self._match(other)
+            return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
         try:
-            scalar = self.tower.scalar(other)
+            scalar = self.field.scalar(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return FieldElement(self.tower, tuple(scalar * c for c in self.coords))
+        return FieldElement(self.field, tuple(scalar * c for c in self.coords))
 
     __rmul__ = __mul__
 
@@ -772,59 +709,13 @@ class FieldElement:
         lies in K.  If it is zero, or not in K, the tower is not a field and
         ArithmeticError is raised.
         """
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        tower = self.tower
-        conjugates = tower._theta_coords(self.coords, 1)
-        for j in range(2, tower.m):
-            conjugates = tower._mul_coords(conjugates, tower._theta_coords(self.coords, j))
-        norm = tower._mul_coords(self.coords, conjugates)
-        if not norm[0] or any(norm[1:]):
-            raise ArithmeticError("norm is zero or not in the base field")
-        scale = norm[0].inverse() if hasattr(norm[0], "inverse") else 1 / norm[0]
-        return FieldElement(tower, tuple(scale * c for c in conjugates))
-
-    def __truediv__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = self.tower.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
+        tower = self.field
+        conjugates = (tower._theta_coords(self.coords, j) for j in range(1, tower.m))
+        return self._norm_inverse(conjugates, tower._mul_coords)
 
     def theta(self, j: int = 1) -> "FieldElement":
         """Image under the j-th power of the generating automorphism."""
-        return FieldElement(self.tower, self.tower._theta_coords(self.coords, j))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldElement):
-            try:
-                other = self.tower.embed_scalar(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return self.tower == other.tower and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.tower, self.coords))
-
-    def __bool__(self) -> bool:
-        return any(bool(c) for c in self.coords)
-
-    def __repr__(self) -> str:
-        return scalar_to_text(self)
+        return FieldElement(self.field, self.field._theta_coords(self.coords, j))
 
 
 def apply_theta(a: FieldElement, j: int = 1) -> FieldElement:

@@ -41,15 +41,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, field, columns: Sequence[Sequence]) -> "Matrix":
-        rows = len(columns[0]) if columns else 0
-        return cls(
-            field,
-            [[columns[j][i] for j in range(len(columns))] for i in range(rows)],
-            cols=len(columns),
-        )
-
     def __getitem__(self, key) -> object:
         i, j = key
         return self.entries[i][j]

@@ -76,7 +76,7 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
         points = [tower.coerce(g) for g in points]
         if len(points) != n:
             raise ValueError(f"expected {n} evaluation points, got {len(points)}")
-    if rref(ext(tower, points).matrix)[1] != n:
+    if rref(ext(tower, points))[1] != n:
         raise ValueError("evaluation points are linearly dependent over the base field")
     rows = []
     current = list(points)

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .exact_algebra import QQ, CyclotomicField, KummerTower, Tower
 from .exact_linalg import Matrix, rank
 from .gabidulin import GabCode, code_to_descriptor, syndrome_decode
-from .rank_metric import ExtMatrix, ext, ext_inv
+from .rank_metric import ext, ext_inv
 
 __all__ = [
     "MeasurementRecord",
@@ -79,10 +79,6 @@ def measure(code: GabCode, matrix: Matrix) -> MeasurementRecord:
     """K-linear measurement of an m-by-n matrix over the code's base field."""
     tower = code.tower
     _require_pipeline_shape(code)
-    if isinstance(matrix, ExtMatrix):
-        if matrix.basis_order != tuple(range(tower.m)):
-            raise ValueError("the pipeline fixes the power-basis order")
-        matrix = matrix.matrix
     if matrix.field != tower.scalar_field:
         raise ValueError("matrix entries must lie in the code's base field")
     if matrix.shape != (tower.m, code.n):
@@ -115,7 +111,7 @@ def recover(code: GabCode, record: MeasurementRecord) -> Matrix | None:
     error = syndrome_decode(code, syndrome)
     if error is None:
         return None
-    return ext(tower, error).matrix
+    return ext(tower, error)
 
 
 def random_low_rank(

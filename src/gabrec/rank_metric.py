@@ -14,7 +14,6 @@ rank metric in the classical finite-field setting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exact_algebra import FieldElement, Tower
@@ -23,7 +22,6 @@ from .skew_poly import msp
 
 __all__ = [
     "WEIGHT_KINDS",
-    "ExtMatrix",
     "ext",
     "ext_inv",
     "theta_matrix",
@@ -35,55 +33,18 @@ __all__ = [
 WEIGHT_KINDS = ("A", "thetaL", "thetaK", "B")
 
 
-@dataclass(frozen=True)
-class ExtMatrix:
-    """m-by-n coordinate matrix over K plus the basis order it was taken in."""
-
-    matrix: Matrix
-    basis_order: tuple[int, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def _default_order(tower: Tower) -> tuple[int, ...]:
-    return tuple(range(tower.m))
-
-
-def _check_order(tower: Tower, order: Sequence[int]) -> tuple[int, ...]:
-    order = tuple(order)
-    if sorted(order) != list(range(tower.m)):
-        raise ValueError(f"basis order must permute 0..{tower.m - 1}")
-    return order
-
-
-def ext(tower: Tower, vector: Sequence, order: Sequence[int] | None = None) -> ExtMatrix:
+def ext(tower: Tower, vector: Sequence) -> Matrix:
     """Coordinate matrix of a vector over L: column j = coords of entry j."""
-    order = _default_order(tower) if order is None else _check_order(tower, order)
     elements = [tower.coerce(x) for x in vector]
-    rows = [[e.coords[i] for e in elements] for i in order]
-    matrix = Matrix(tower.scalar_field, rows, cols=len(elements))
-    return ExtMatrix(matrix, order)
+    rows = [[e.coords[i] for e in elements] for i in range(tower.m)]
+    return Matrix(tower.scalar_field, rows, cols=len(elements))
 
 
-def ext_inv(tower: Tower, coord_matrix) -> list[FieldElement]:
+def ext_inv(tower: Tower, matrix: Matrix) -> list[FieldElement]:
     """Vector over L from an m-by-n coordinate matrix (inverse of :func:`ext`)."""
-    if isinstance(coord_matrix, ExtMatrix):
-        order = _check_order(tower, coord_matrix.basis_order)
-        matrix = coord_matrix.matrix
-    else:
-        order = _default_order(tower)
-        matrix = coord_matrix
     if matrix.rows != tower.m:
         raise ValueError(f"coordinate matrix needs {tower.m} rows, has {matrix.rows}")
-    out = []
-    for j in range(matrix.cols):
-        coords = [tower.scalar_field.zero] * tower.m
-        for i, basis_index in enumerate(order):
-            coords[basis_index] = matrix.entries[i][j]
-        out.append(tower.from_coords(coords))
-    return out
+    return [tower.from_coords(matrix.column(j)) for j in range(matrix.cols)]
 
 
 def theta_matrix(tower: Tower, vector: Sequence, s: int | None = None) -> Matrix:
@@ -110,7 +71,7 @@ def coordinate_expansion(tower: Tower, matrix: Matrix) -> Matrix:
 def rank_weight(tower: Tower, vector: Sequence, kind: str) -> int:
     """Rank weight of a vector over L; ``kind`` is one of ``WEIGHT_KINDS``."""
     if kind == "B":
-        return rref(ext(tower, vector).matrix)[1]
+        return rref(ext(tower, vector))[1]
     if kind == "thetaL":
         return rref(theta_matrix(tower, vector))[1]
     if kind == "thetaK":

@@ -1,5 +1,6 @@
 """Tower construction, exact field arithmetic, and the theta automorphism."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from gabrec import Matrix, QQ, apply_theta, make_tower, rank, solve, tower_from_
 from gabrec.exact_algebra import (
     CyclotomicField,
     KummerTower,
-    _poly_divmod,
-    _poly_mul,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -250,6 +249,17 @@ def test_tower_mismatch_raises(zeta5, kummer4):
         a + b
     with pytest.raises(ValueError):
         a * b
+    # comparison across towers or fields is False, not an error
+    assert a != b and not a == b
+    assert zeta5.one != kummer4.one
+    assert kummer4.scalar_field.one != CyclotomicField(8).one
+
+
+def test_equal_scalars_hash_alike(zeta5, kummer4):
+    for tower in (zeta5, kummer4):
+        assert len({tower.one, tower.scalar_field.one, 1, Fraction(1)}) == 1
+        half = Fraction(1, 2)
+        assert hash(tower.embed_scalar(half)) == hash(half)
 
 
 def test_element_text_roundtrip(zeta5, kummer4):
@@ -291,31 +301,48 @@ def test_cyclotomic_field_inverse():
 # the integer kernels against the plain Fraction algorithms they replace
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_rem(a, modulus):
+    # remainder on division by a monic modulus, padded to its degree
+    a, d = list(a), len(modulus) - 1
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k]
+        for i, coeff in enumerate(modulus):
+            a[k - d + i] -= c * coeff
+    return tuple(a[:d]) + (Fraction(0),) * (d - len(a))
+
+
 def _ref_mul(field, a, b):
-    # Fraction product, then generic division by the Fraction modulus
-    _, rem = _poly_divmod(_poly_mul(a, b), field.modulus)
-    return tuple(rem) + (Fraction(0),) * (field.degree - len(rem))
+    # Fraction product, then Fraction division by Phi_n
+    return _poly_rem(_poly_mul(a, b), cyclotomic_polynomial(field.conductor))
 
 
-def _ref_theta(tower, coords, j):
-    # multiply-add over the reduced coordinates of zeta^(g^j e)
-    p, field = tower.conductor, tower._field
-    gj = pow(tower.primitive_root, j % tower.m, p)
-    out = [Fraction(0)] * tower.m
+def _ref_zeta(conductor, power):
+    return _poly_rem([Fraction(0)] * power + [Fraction(1)], cyclotomic_polynomial(conductor))
+
+
+def _ref_sigma(conductor, coords, a):
+    # multiply-add over the reduced coordinates of zeta^(a e)
+    out = [Fraction(0)] * len(coords)
     for e, c in enumerate(coords):
-        for i, v in enumerate(field.zeta(gj * e % p).coords):
+        for i, v in enumerate(_ref_zeta(conductor, a * e % conductor)):
             out[i] += c * v
     return tuple(out)
 
 
-def _ref_inverse(tower, columns):
-    # solve the m-by-m multiplication system over K, given the coordinates
-    # of a * b for each basis element b
-    mat = Matrix(
-        tower.scalar_field,
-        [[columns[j][i] for j in range(tower.m)] for i in range(tower.m)],
-    )
-    return tuple(solve(mat, list(tower.one.coords)))
+def _ref_inverse(base, columns):
+    # solve the m-by-m multiplication system over the base field, given the
+    # coordinates of a * b for each basis element b
+    m = len(columns)
+    mat = Matrix(base, [[columns[j][i] for j in range(m)] for i in range(m)])
+    return tuple(solve(mat, [base.one] + [base.zero] * (m - 1)))
 
 
 def _probe_coords(rng, size):
@@ -345,20 +372,30 @@ def test_cyclotomic_tower_kernels_match_fraction_reference(p):
         for b in elements[:4]:
             assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
         for j in (-tower.m - 2, -1, 0, 1, 2, tower.m - 1, tower.m, 2 * tower.m + 3):
-            assert a.theta(j).coords == _ref_theta(tower, a.coords, j)
+            g_j = pow(tower.primitive_root, j % tower.m, p)
+            assert a.theta(j).coords == _ref_sigma(p, a.coords, g_j)
     for a in elements[:2] + rng.sample(elements[3:], 2):
         columns = [_ref_mul(field, a.coords, b.coords) for b in tower.basis]
-        assert a.inverse().coords == _ref_inverse(tower, columns)
+        assert a.inverse().coords == _ref_inverse(QQ, columns)
 
 
-@pytest.mark.parametrize("conductor", [4, 8, 12])
+@pytest.mark.parametrize("conductor", [4, 8, 12, 16, 20])
 def test_cyclotomic_field_product_matches_fraction_reference(conductor):
     rng = random.Random(conductor)
     field = CyclotomicField(conductor)
+    units = [a for a in range(1, conductor) if math.gcd(a, conductor) == 1]
+    for k in range(-1, 2 * conductor):
+        assert field.zeta(k).coords == _ref_zeta(conductor, k % conductor)
+    basis = [field.element([0] * e + [1]) for e in range(field.degree)]
     elements = [field.element(c) for c in _probe_coords(rng, field.degree)]
     for a in elements:
         for b in elements:
             assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
+        for u in units:
+            assert field._sigma_coords(a.coords, u) == _ref_sigma(conductor, a.coords, u)
+        if a:
+            columns = [_ref_mul(field, a.coords, b.coords) for b in basis]
+            assert a.inverse().coords == _ref_inverse(QQ, columns)
 
 
 def test_kummer_inverse_matches_solve(kummer4):
@@ -378,4 +415,4 @@ def test_kummer_inverse_matches_solve(kummer4):
         )
         if a:
             columns = [times_alpha_power(a.coords, j) for j in range(n)]
-            assert a.inverse().coords == _ref_inverse(kummer4, columns)
+            assert a.inverse().coords == _ref_inverse(field, columns)

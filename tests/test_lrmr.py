@@ -50,7 +50,7 @@ def test_measure_kills_codewords(code5):
     rng = random.Random(0)
     for _ in range(20):
         f = rand_poly(code5.tower, rng, code5.k - 1)
-        codeword_matrix = ext(code5.tower, encode(code5, f)).matrix
+        codeword_matrix = ext(code5.tower, encode(code5, f))
         record = measure(code5, codeword_matrix)
         assert all(v == 0 for v in record.y)
 
