@@ -15,7 +15,6 @@ from .exact_algebra import (
     FieldElement,
     KummerTower,
     Tower,
-    apply_theta,
     make_tower,
     tower_from_spec,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "FieldElement",
     "KummerTower",
     "Tower",
-    "apply_theta",
     "make_tower",
     "tower_from_spec",
     "Matrix",

@@ -273,7 +273,7 @@ def _parse_float_matrix(text: str):
     for token in body:
         try:
             entries.append(complex(token) if is_complex else Fraction(token))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad matrix entry {token!r}") from None
     rows = [entries[i * n : (i + 1) * n] for i in range(m)]
     return rows, is_complex

@@ -53,7 +53,6 @@ __all__ = [
     "FieldElement",
     "make_tower",
     "tower_from_spec",
-    "apply_theta",
     "is_prime",
     "euler_phi",
     "smallest_primitive_root",
@@ -217,7 +216,10 @@ class RationalField:
         return scalar_to_text(self.coerce(value))
 
     def from_text(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
     def __repr__(self) -> str:
         return "QQ"
@@ -441,7 +443,7 @@ class CyclotomicField:
         return scalar_to_text(self.coerce(value))
 
     def from_text(self, text: str) -> CyclotomicElement:
-        return self.element([Fraction(part) for part in _split_tuple(text)])
+        return self.element([QQ.from_text(part) for part in _split_tuple(text)])
 
 
 class CyclotomicElement(_Element):
@@ -495,10 +497,6 @@ class Tower:
             out.append(self.from_coords(coords))
         return out
 
-    def scalar(self, value):
-        """Coerce ``value`` into the base field K."""
-        return self.scalar_field.coerce(value)
-
     def from_coords(self, coords: Iterable) -> FieldElement:
         coords = tuple(self.scalar_field.coerce(c) for c in coords)
         if len(coords) != self.m:
@@ -507,7 +505,7 @@ class Tower:
 
     def embed_scalar(self, value) -> FieldElement:
         coords = [self.scalar_field.zero] * self.m
-        coords[0] = self.scalar(value)
+        coords[0] = self.scalar_field.coerce(value)
         return FieldElement(self, tuple(coords))
 
     def coerce(self, value) -> FieldElement:
@@ -695,7 +693,7 @@ class FieldElement(_Element):
             other = self._match(other)
             return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
         try:
-            scalar = self.field.scalar(other)
+            scalar = self.field.scalar_field.coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
         return FieldElement(self.field, tuple(scalar * c for c in self.coords))
@@ -716,11 +714,6 @@ class FieldElement(_Element):
     def theta(self, j: int = 1) -> "FieldElement":
         """Image under the j-th power of the generating automorphism."""
         return FieldElement(self.field, self.field._theta_coords(self.coords, j))
-
-
-def apply_theta(a: FieldElement, j: int = 1) -> FieldElement:
-    """theta^j applied to a; j is reduced modulo the extension degree."""
-    return a.theta(j)
 
 
 def make_tower(kind: str, param: int, radicand: Rational = 2) -> Tower:

@@ -5,6 +5,14 @@ below k at n evaluation points that are linearly independent over K.  The
 generator matrix G has entry theta^i(g_j); the parity-check matrix H is a
 right-kernel basis of G, which is all the recovery pipeline needs.
 
+H is systematic: its last n-k columns are the identity.  In a cyclic
+extension the k-by-k theta-Moore block of K-independent points is
+invertible (Augot-Loidreau-Robert, ISIT 2013), so the pivots of G are its
+first k columns and the kernel basis puts I_(n-k) on the free ones.  A
+syndrome s is therefore its own preimage: H (0, ..., 0, s) = s, and
+syndrome decoding is one decode of that word, with no linear solve.
+``build_code`` checks the identity block, since the decoder relies on it.
+
 Decoding interpolates a pair (V, N) with deg V <= t and deg N <= k-1+t
 such that V(r_i) = N(g_i) at every point, then extracts the message as the
 exact left quotient N = V * f.  The whole computation is one kernel of an
@@ -19,8 +27,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_algebra import FieldElement, Tower, make_tower
-from .exact_linalg import Matrix, right_kernel, rref, solve
-from .rank_metric import ext, rank_weight
+from .exact_linalg import Matrix, right_kernel, rref
+from .rank_metric import ext, rank_weight, theta_matrix
 from .skew_poly import SkewPoly, left_divide
 
 __all__ = [
@@ -78,14 +86,15 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
             raise ValueError(f"expected {n} evaluation points, got {len(points)}")
     if rref(ext(tower, points))[1] != n:
         raise ValueError("evaluation points are linearly dependent over the base field")
-    rows = []
-    current = list(points)
-    for i in range(k):
-        if i:
-            current = [g.theta() for g in current]
-        rows.append(list(current))
-    generator = Matrix(tower, rows, cols=n)
+    generator = theta_matrix(tower, points, k)
     parity_check = right_kernel(generator)
+    # syndrome_decode takes (0, ..., 0, s) as the preimage of s, which needs
+    # the last n-k columns of H to be the identity
+    identity = tuple(
+        tuple(tower.one if j == i else tower.zero for j in range(n - k)) for i in range(n - k)
+    )
+    if tuple(row[k:] for row in parity_check.entries) != identity:
+        raise AssertionError("parity-check matrix is not the identity on its last n-k columns")
     return GabCode(tower, n, k, tuple(points), generator, parity_check)
 
 
@@ -114,19 +123,10 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     received = _coerce_word(code, received)
     tower, t, k = code.tower, code.radius, code.k
     # columns: V_0..V_t multiply theta-iterates of r, N_0..N_{k-1+t} of g (negated)
-    r_iter = list(received)
-    g_iter = list(code.points)
-    columns: list[list[FieldElement]] = []
-    for j in range(t + 1):
-        if j:
-            r_iter = [x.theta() for x in r_iter]
-        columns.append(list(r_iter))
-    for j in range(k + t):
-        if j:
-            g_iter = [x.theta() for x in g_iter]
-        columns.append([-x for x in g_iter])
-    rows = [[col[i] for col in columns] for i in range(code.n)]
-    kernel = right_kernel(Matrix(tower, rows, cols=len(columns)))
+    v_block = theta_matrix(tower, received, t + 1)
+    n_block = theta_matrix(tower, code.points, k + t)
+    rows = [[*v_block.column(i), *(-x for x in n_block.column(i))] for i in range(code.n)]
+    kernel = right_kernel(Matrix(tower, rows, cols=2 * t + k + 1))
     if kernel.rows == 0:
         return DecodeResult(success=False)
     vec = next((row for row in kernel.entries if any(row[: t + 1])), None)
@@ -150,21 +150,18 @@ def syndrome_decode(code: GabCode, syndrome: Sequence) -> list[FieldElement] | N
     """Error vector of rank weight <= t whose parity-check image is the syndrome.
 
     Any preimage of the syndrome works as decoder input because preimages
-    differ by codewords; None means the syndrome is not reachable from an
-    error within the decoding radius.
+    differ by codewords.  H is the identity on its last n-k columns, so
+    (0, ..., 0, s) is a preimage of s and its decoded error is the answer.
+    None means the syndrome is not reachable from an error within the
+    decoding radius.
     """
     syndrome = [code.tower.coerce(x) for x in syndrome]
     if len(syndrome) != code.n - code.k:
         raise ValueError(
             f"expected a length-{code.n - code.k} syndrome, got {len(syndrome)}"
         )
-    preimage = solve(code.parity_check, syndrome)
-    if preimage is None:  # pragma: no cover - H has full row rank
-        return None
-    result = wb_decode(code, preimage)
-    if not result.success:
-        return None
-    return [x - c for x, c in zip(preimage, result.codeword)]
+    result = wb_decode(code, [code.tower.zero] * code.k + syndrome)
+    return list(result.error) if result.success else None
 
 
 def code_to_descriptor(code: GabCode) -> dict:

@@ -137,6 +137,13 @@ def test_weights_usage_errors(tmp_path, capsys):
     assert main(["weights", str(tmp_path / "missing.txt"), "--tower", "cyclotomic:5"]) == USAGE_ERROR
     assert main(["weights", str(vec)]) == USAGE_ERROR  # --tower is required
     capsys.readouterr()
+    # a zero denominator is a usage error, not a traceback
+    vec.write_text("(1/0,0,0,0)\n")
+    assert main(["weights", str(vec), "--tower", "cyclotomic:5"]) == USAGE_ERROR
+    assert "gabrec weights: error:" in capsys.readouterr().err
+    vec.write_text("((1/0,0),(0,0),(0,0),(0,0))\n")
+    assert main(["weights", str(vec), "--tower", "kummer:4"]) == USAGE_ERROR
+    assert "gabrec weights: error:" in capsys.readouterr().err
 
 
 def test_approx_exact_copy(tmp_path, capsys):
@@ -176,6 +183,9 @@ def test_approx_usage_errors(tmp_path, capsys):
     assert main(["approx", str(src), "--epsilon", "0"]) == USAGE_ERROR
     assert main(["approx", str(src), "--epsilon", "-1"]) == USAGE_ERROR
     capsys.readouterr()
+    src.write_text("1 2\n1/0 2\n")
+    assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
+    assert "gabrec approx: error: bad matrix entry '1/0'" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

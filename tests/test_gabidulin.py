@@ -7,6 +7,7 @@ import pytest
 
 from conftest import rand_element, rand_error
 from gabrec import (
+    Matrix,
     SkewPoly,
     build_code,
     code_from_descriptor,
@@ -15,9 +16,11 @@ from gabrec import (
     make_tower,
     rank,
     rank_weight,
+    solve,
     syndrome_decode,
     wb_decode,
 )
+from gabrec import gabidulin
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +48,33 @@ def test_generator_is_theta_moore(code5, zeta5):
     assert code5.design_distance == 3
 
 
-def test_parity_check_shape(code5):
+def assert_systematic(code):
+    # syndrome_decode relies on H being the identity on its last n-k columns
+    one, zero, size = code.tower.one, code.tower.zero, code.n - code.k
+    assert [list(row[code.k :]) for row in code.parity_check.entries] == [
+        [one if j == i else zero for j in range(size)] for i in range(size)
+    ]
+
+
+def test_parity_check_shape(code5, zeta5, kummer4, monkeypatch):
     assert code5.parity_check.shape == (2, 4)
     assert (code5.generator * code5.parity_check.transpose()).is_zero()
     assert rank(code5.parity_check) == 2
+    for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
+        for k in range(1, tower.m + 1):
+            assert_systematic(build_code(tower, tower.m, k))
+    zeta = zeta5.basis[1]
+    assert_systematic(build_code(zeta5, 3, 1, [zeta, zeta**2, zeta5.one]))
+
+    right_kernel = gabidulin.right_kernel
+
+    def rescaled(matrix):
+        basis = right_kernel(matrix)
+        return Matrix(basis.field, [[2 * x for x in row] for row in basis.entries])
+
+    monkeypatch.setattr(gabidulin, "right_kernel", rescaled)
+    with pytest.raises(AssertionError):
+        build_code(zeta5, 4, 2)
 
 
 def test_build_rejects_bad_parameters(zeta5):
@@ -151,6 +177,15 @@ def test_syndrome_decode_zero(code5):
     assert syndrome_decode(code5, zero_syndrome) == [code5.tower.zero] * 4
 
 
+def reference_syndrome_decode(code, syndrome):
+    # decode a preimage found by a linear solve, then subtract the codeword
+    preimage = solve(code.parity_check, syndrome)
+    result = wb_decode(code, preimage)
+    if not result.success:
+        return None
+    return [x - c for x, c in zip(preimage, result.codeword)]
+
+
 def test_syndrome_decode_rank_one(code5, code_k4):
     rng = random.Random(4)
     for code in (code5, code_k4):
@@ -159,6 +194,7 @@ def test_syndrome_decode_rank_one(code5, code_k4):
             syndrome = code.parity_check.mul_vec(e)
             recovered = syndrome_decode(code, syndrome)
             assert recovered == e
+            assert recovered == reference_syndrome_decode(code, syndrome)
 
 
 def test_syndrome_decode_beyond_radius(code5):
@@ -167,6 +203,7 @@ def test_syndrome_decode_beyond_radius(code5):
         e = rand_error(code5.tower, rng, code5.n, 2)
         syndrome = code5.parity_check.mul_vec(e)
         recovered = syndrome_decode(code5, syndrome)
+        assert recovered == reference_syndrome_decode(code5, syndrome)
         if recovered is not None:
             assert code5.parity_check.mul_vec(recovered) == syndrome
             assert rank_weight(code5.tower, recovered, "B") <= code5.radius
@@ -211,6 +248,23 @@ def test_descriptor_fields(code5, code_k4):
     dk = code_to_descriptor(code_k4)
     assert dk["towerKind"] == "kummer"
     assert dk["radicand"] == "2"
+
+
+def test_kummer12_round_trip():
+    # x^12 - 2 is irreducible over Q(zeta_12); a short code keeps this cheap
+    tower = make_tower("kummer", 12)
+    code = build_code(tower, 4, 2)
+    assert_systematic(code)
+    rng = random.Random(8)
+    errors = [rand_error(tower, rng, code.n, 1, height=2) for _ in range(2)]
+    f = rand_message(code, rng, height=2)
+    received = [ci + ei for ci, ei in zip(encode(code, f), errors[0])]
+    result = wb_decode(code, received)
+    assert result.success
+    assert result.message == f
+    assert list(result.error) == errors[0]
+    for e in errors:
+        assert syndrome_decode(code, code.parity_check.mul_vec(e)) == e
 
 
 def test_decode_scale_instance():

@@ -40,4 +40,8 @@ def test_traced_operator_counters(monkeypatch):
     kummer = counters("kummer4-mixed")
     for op in ("L_mul", "theta", "L_inverse", "K_mul", "K_inverse"):
         assert kummer[f"exact_algebra.{op}.calls"] > 0, op
-    assert counters("cyc11-decode")["exact_algebra.K_mul.calls"] == 0
+    cyclotomic = counters("cyc11-decode")
+    assert cyclotomic["exact_algebra.K_mul.calls"] == 0
+    # recover decodes the syndrome as its own preimage: no linear solve
+    for metrics in (kummer, cyclotomic):
+        assert metrics["exact_linalg.solve.calls"] == 0
