@@ -14,7 +14,12 @@ degree m together with a generating automorphism theta:
   alpha to zeta_n * alpha.  The radicand is rejected unless x^n - radicand
   is irreducible over K, so L is a field (with radicand 2: 8 does not divide n).
 
-Scalars of K are :class:`fractions.Fraction` for the cyclotomic tower and
+Every field here is one kind of object, a handle whose elements are
+coordinate vectors of length m over a scalar field: ``CyclotomicField(n)``
+(m = phi(n) over the rationals) and the two towers (L over K).  The
+cyclotomic tower is Q(zeta_p) itself, a ``CyclotomicField`` with theta; the
+Kummer tower's K is a ``CyclotomicField``.  Scalars of K are
+:class:`fractions.Fraction` for the cyclotomic tower and
 :class:`CyclotomicElement` for the Kummer tower.  All arithmetic is exact;
 no floating point is used anywhere.
 
@@ -23,16 +28,19 @@ runs on integers: a vector is written over the common denominator of its
 coordinates, and one reduction step folds degrees from n down by zeta^n = 1,
 reduces the rest by the monic integer cyclotomic polynomial and normalises
 each output coordinate once.  The product (numerators convolved as Python
-ints), the Galois action sigma_a: zeta -> zeta^a (coordinate e moved to
-a*e mod n) and ``zeta(e)`` all end in that step.  That one kernel multiplies
-in L for the cyclotomic tower, where theta is sigma_g, and in K for the
-Kummer tower.
+ints) and the one exponent map, zeta^e -> zeta^(a e + s), end in that step.
+The exponent map is the Galois action sigma_a (s = 0; theta of the
+cyclotomic tower is sigma_g), ``zeta(e)``, and the Kummer theta, which
+shifts the K-coordinate of alpha^i by i j.
 
-Inverses in K and in L come from the norm: x^-1 is the product of the other
-Galois conjugates of x divided by N(x), the product of all of them.  In K
-the conjugates are sigma_a(x) for the units a != 1 modulo n, in L they are
-theta^j(x) for 0 < j < m.  The two element classes share every operator
-except the product and the inverse.
+Elements have one product and one inverse.  A product with a scalar of the
+base field scales the coordinates; a product of two elements is the
+handle's coordinate product.  The inverse comes from the norm: x^-1 is the
+product of the other Galois conjugates of x divided by N(x), the product of
+all of them.  In Q(zeta_n) the conjugates are sigma_a(x) for the units
+a != 1 modulo n, in L they are theta^j(x) for 0 < j < m.  Elements of K and
+of L stay two classes only so that the benchmark's tracer can count their
+operators apart.
 """
 
 from __future__ import annotations
@@ -238,10 +246,11 @@ QQ = RationalField()
 # elements held as coordinates over a field handle
 
 class _Element:
-    """Operators shared by the elements of Q(zeta_n) and of a tower's L.
+    """Operators shared by the elements of every coordinate field.
 
     ``field`` is the handle the element belongs to: a :class:`CyclotomicField`
-    or a :class:`Tower`.  Each subclass defines its own product and inverse.
+    or a :class:`Tower`.  The product and the inverse are written once here;
+    each subclass binds them in its own body.
     """
 
     __slots__ = ("field", "coords")
@@ -251,13 +260,9 @@ class _Element:
         self.coords = coords
 
     def _match(self, other):
-        if type(other) is type(self):
-            if other.field != self.field:
-                raise ValueError(f"{self.field!r} and {other.field!r} mismatch")
-            return other
         try:
             return self.field.coerce(other)
-        except (TypeError, ValueError):
+        except TypeError:
             return NotImplemented
 
     def __add__(self, other):
@@ -280,6 +285,34 @@ class _Element:
     def __neg__(self):
         return type(self)(self.field, tuple(-a for a in self.coords))
 
+    def _product(self, other):
+        if type(other) is type(self):
+            other = self.field.coerce(other)  # raises on elements of another field
+            return type(self)(self.field, self.field._mul_coords(self.coords, other.coords))
+        try:
+            scalar = self.field.scalar_field.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return type(self)(self.field, tuple(scalar * c for c in self.coords))
+
+    def _inverse(self):
+        """Multiplicative inverse by the norm: x^-1 = c_1 ... c_r / N(x).
+
+        The c_i are the Galois conjugates of x other than x, from
+        ``field._conjugates``.  N(x) = x c_1 ... c_r is fixed by the Galois
+        group, so it lies in the base field; if it is zero, or not there, the
+        ring is not a field and ArithmeticError is raised.
+        """
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        product = functools.reduce(field._mul_coords, field._conjugates(self.coords))
+        norm = field._mul_coords(self.coords, product)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is zero or not in the base field")
+        scale = norm[0].inverse() if isinstance(norm[0], _Element) else 1 / norm[0]
+        return type(self)(field, tuple(scale * c for c in product))
+
     def __truediv__(self, other):
         other = self._match(other)
         if other is NotImplemented:
@@ -300,23 +333,6 @@ class _Element:
             base = base * base
             exponent >>= 1
         return out
-
-    def _norm_inverse(self, conjugates: Iterable[tuple], mul):
-        # x^-1 = c_1 ... c_r / N(x), given the coordinates of the Galois
-        # conjugates c_i of x other than x and the coordinate product.
-        # N(x) = x c_1 ... c_r is fixed by the Galois group, so it lies in the
-        # base field; if it is zero or not there, the ring is not a field.
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        conjugates = iter(conjugates)
-        product = next(conjugates)
-        for c in conjugates:
-            product = mul(product, c)
-        norm = mul(self.coords, product)
-        if not norm[0] or any(norm[1:]):
-            raise ArithmeticError("norm is zero or not in the base field")
-        scale = norm[0].inverse() if isinstance(norm[0], _Element) else 1 / norm[0]
-        return type(self)(self.field, tuple(scale * c for c in product))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -340,22 +356,115 @@ class _Element:
         return scalar_to_text(self)
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic fields Q(zeta_n)
+# Elements of K and of L stay two classes, with the same product and inverse,
+# because the benchmark's tracer (perfbench/spans.py) counts K- and
+# L-operators apart by patching __mul__, __rmul__ and inverse in each class's
+# own __dict__; so each class binds them in its body instead of inheriting.
 
-class CyclotomicField:
+class CyclotomicElement(_Element):
+    """Element of a :class:`CyclotomicField` in reduced power-basis coordinates."""
+
+    __slots__ = ()
+    __mul__ = __rmul__ = _Element._product
+    inverse = _Element._inverse
+
+
+class FieldElement(_Element):
+    """Element of L held as exact coordinates with respect to the power basis."""
+
+    __slots__ = ()
+    __mul__ = __rmul__ = _Element._product
+    inverse = _Element._inverse
+
+    def theta(self, j: int = 1) -> "FieldElement":
+        """Image under the j-th power of the generating automorphism."""
+        return FieldElement(self.field, self.field._theta_coords(self.coords, j))
+
+
+# ---------------------------------------------------------------------------
+# field handles
+
+class _CoordinateField:
+    """A field whose elements are coordinate vectors of length m over ``scalar_field``.
+
+    Two handles are equal when their ``_key``, the class name and the
+    construction parameters, is; ``_element`` is the class of their elements.
+    Subclasses provide ``_mul_coords`` and ``_conjugates``, the Galois
+    conjugates of an element other than itself, for the inverse.
+    """
+
+    _element: type
+
+    def __init__(self, scalar_field, m: int, *params):
+        self.scalar_field = scalar_field
+        self.m = m
+        self._key = (type(self).__name__, *params)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _CoordinateField) and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        name, *params = self._key
+        return f"{name}({', '.join(map(str, params))})"
+
+    @property
+    def zero(self) -> _Element:
+        return self._element(self, (self.scalar_field.zero,) * self.m)
+
+    @property
+    def one(self) -> _Element:
+        return self.embed_scalar(self.scalar_field.one)
+
+    @property
+    def basis(self) -> list[_Element]:
+        zero, one = self.scalar_field.zero, self.scalar_field.one
+        return [
+            self._element(self, (zero,) * i + (one,) + (zero,) * (self.m - 1 - i))
+            for i in range(self.m)
+        ]
+
+    def from_coords(self, coords: Iterable) -> _Element:
+        coords = tuple(self.scalar_field.coerce(c) for c in coords)
+        if len(coords) != self.m:
+            raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
+        return self._element(self, coords)
+
+    def embed_scalar(self, value) -> _Element:
+        zero = self.scalar_field.zero
+        return self._element(self, (self.scalar_field.coerce(value),) + (zero,) * (self.m - 1))
+
+    def coerce(self, value) -> _Element:
+        if isinstance(value, self._element):
+            if value.field != self:
+                raise ValueError(f"element of {value.field!r}, not of {self!r}")
+            return value
+        return self.embed_scalar(value)
+
+    def to_text(self, value) -> str:
+        return scalar_to_text(self.coerce(value))
+
+    def from_text(self, text: str) -> _Element:
+        return self.from_coords([self.scalar_field.from_text(p) for p in _split_tuple(text)])
+
+
+class CyclotomicField(_CoordinateField):
     """The field generated over the rationals by a primitive n-th root of unity.
 
-    Elements are stored as coefficient vectors of length phi(n) with respect
-    to the power basis (1, zeta, ..., zeta^(phi(n)-1)); products are reduced
-    modulo the n-th cyclotomic polynomial.
+    Elements are coordinate vectors of length m = phi(n) with respect to the
+    power basis (1, zeta, ..., zeta^(m-1)); products are reduced modulo the
+    n-th cyclotomic polynomial.
     """
+
+    _element = CyclotomicElement
 
     def __init__(self, conductor: int):
         if conductor < 3:
             raise ValueError("conductor must be at least 3")
+        super().__init__(QQ, euler_phi(conductor), conductor)
         self.conductor = conductor
-        self.degree = euler_phi(conductor)
         # nonzero lower coefficients of the monic integer modulus
         self._reduction_terms = [
             (i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:-1]) if c
@@ -364,52 +473,22 @@ class CyclotomicField:
         # the Galois automorphisms other than the identity
         self._other_units = [a for a in range(2, conductor) if math.gcd(a, conductor) == 1]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclotomicField) and other.conductor == self.conductor
+    def element(self, coeffs: Iterable[Rational]) -> _Element:
+        """sum(coeffs[e] zeta^e) for at most m int or Fraction coefficients."""
+        coeffs = list(coeffs)
+        return self.from_coords(coeffs + [0] * (self.m - len(coeffs)))
 
-    def __hash__(self) -> int:
-        return hash(("CyclotomicField", self.conductor))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicField({self.conductor})"
-
-    @property
-    def zero(self) -> CyclotomicElement:
-        return self.element([])
-
-    @property
-    def one(self) -> CyclotomicElement:
-        return self.element([1])
-
-    def element(self, coeffs: Iterable[Rational]) -> CyclotomicElement:
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            raise ValueError(f"at most {self.degree} coordinates expected")
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return CyclotomicElement(self, tuple(coeffs))
-
-    def zeta(self, power: int = 1) -> CyclotomicElement:
+    def zeta(self, power: int = 1) -> _Element:
         """zeta^power, reduced to the power basis."""
-        numerators = [0] * self.conductor
-        numerators[power % self.conductor] = 1
-        return CyclotomicElement(self, self._reduce_numerators(numerators, 1))
-
-    def coerce(self, value) -> CyclotomicElement:
-        if isinstance(value, CyclotomicElement):
-            if value.field != self:
-                raise ValueError("element from a different cyclotomic field")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return self.element([value])
-        raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
+        return self._element(self, self._move_coords((1,), 1, power))
 
     def _reduce_numerators(self, numerators: list[int], den: int) -> tuple[Fraction, ...]:
-        # Coordinates of sum(numerators[k] zeta^k) / den, for at least degree
-        # and fewer than 2 * conductor numerators, reduced in place.  Degrees
+        # Coordinates of sum(numerators[k] zeta^k) / den, for at least m and
+        # fewer than 2 * conductor numerators, reduced in place.  Degrees
         # from the conductor up fold down by zeta^n = 1 (Phi_n divides
         # x^n - 1); the rest reduce by the monic integer Phi_n.  Each
         # coordinate is normalised once.
-        d, n = self.degree, self.conductor
+        d, n = self.m, self.conductor
         for k in range(n, len(numerators)):
             numerators[k - n] += numerators[k]
         for k in range(min(len(numerators), n) - 1, d - 1, -1):
@@ -423,104 +502,43 @@ class CyclotomicField:
         # product of two reduced coordinate vectors, on integer numerators
         da, na = _common_numerators(a)
         db, nb = _common_numerators(b)
-        prod = [0] * (2 * self.degree - 1)
+        prod = [0] * (2 * self.m - 1)
         for i, x in enumerate(na):
             if x:
                 for j, y in enumerate(nb):
                     prod[i + j] += x * y
         return self._reduce_numerators(prod, da * db)
 
-    def _sigma_coords(self, coords: Sequence[Fraction], a: int) -> tuple[Fraction, ...]:
-        # sigma_a: zeta -> zeta^a for a prime to the conductor moves the
-        # coordinate of zeta^e to zeta^(a e mod n)
+    def _move_coords(self, coords: Sequence[Rational], a: int, s: int = 0) -> tuple[Fraction, ...]:
+        # the coordinate of zeta^e moves to zeta^(a e + s), for a prime to
+        # the conductor: sigma_a (zeta -> zeta^a) followed by a product with
+        # zeta^s
         den, nums = _common_numerators(coords)
         out = [0] * self.conductor
         for e, x in enumerate(nums):
-            out[a * e % self.conductor] = x
+            out[(a * e + s) % self.conductor] = x
         return self._reduce_numerators(out, den)
 
-    def to_text(self, value) -> str:
-        return scalar_to_text(self.coerce(value))
-
-    def from_text(self, text: str) -> CyclotomicElement:
-        return self.element([QQ.from_text(part) for part in _split_tuple(text)])
-
-
-class CyclotomicElement(_Element):
-    """Element of a :class:`CyclotomicField` in reduced power-basis coordinates."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicElement(self.field, self.field._mul_coords(self.coords, other.coords))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CyclotomicElement":
-        """Multiplicative inverse by the norm to Q, the product of all sigma_a(x)."""
-        field = self.field
-        conjugates = (field._sigma_coords(self.coords, a) for a in field._other_units)
-        return self._norm_inverse(conjugates, field._mul_coords)
+    def _conjugates(self, coords: Sequence[Fraction]):
+        return (self._move_coords(coords, a) for a in self._other_units)
 
 
 # ---------------------------------------------------------------------------
 # towers L/K with generating automorphism theta
 
-class Tower:
-    """Shared behaviour of the two tower kinds; use :func:`make_tower`."""
+class Tower(_CoordinateField):
+    """A cyclic extension L/K of degree m with generating automorphism theta.
+
+    Use :func:`make_tower`.  Subclasses provide ``kind``, ``_mul_coords``,
+    ``_theta_coords`` and ``generator()``.
+    """
 
     kind: str
-    m: int
+    _element = FieldElement
 
-    # subclasses provide: scalar_field, _mul_coords, _theta_coords,
-    # generator(), plus their identifying attributes
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.from_coords([self.scalar_field.zero] * self.m)
-
-    @property
-    def one(self) -> FieldElement:
-        coords = [self.scalar_field.zero] * self.m
-        coords[0] = self.scalar_field.one
-        return self.from_coords(coords)
-
-    @property
-    def basis(self) -> list[FieldElement]:
-        out = []
-        for i in range(self.m):
-            coords = [self.scalar_field.zero] * self.m
-            coords[i] = self.scalar_field.one
-            out.append(self.from_coords(coords))
-        return out
-
-    def from_coords(self, coords: Iterable) -> FieldElement:
-        coords = tuple(self.scalar_field.coerce(c) for c in coords)
-        if len(coords) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
-
-    def embed_scalar(self, value) -> FieldElement:
-        coords = [self.scalar_field.zero] * self.m
-        coords[0] = self.scalar_field.coerce(value)
-        return FieldElement(self, tuple(coords))
-
-    def coerce(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError("element from a different tower")
-            return value
-        return self.embed_scalar(value)
-
-    def to_text(self, value) -> str:
-        return scalar_to_text(self.coerce(value))
-
-    def from_text(self, text: str) -> FieldElement:
-        parts = _split_tuple(text)
-        return self.from_coords([self.scalar_field.from_text(p) for p in parts])
+    def _conjugates(self, coords: tuple):
+        # the conjugates of x over K other than x are theta^j(x), 0 < j < m
+        return (self._theta_coords(coords, j) for j in range(1, self.m))
 
     def _check_theta_order(self) -> None:
         # theta must have exact multiplicative order m, witnessed on a generator
@@ -532,7 +550,7 @@ class Tower:
             raise AssertionError("theta^m is not the identity")
 
 
-class CyclotomicTower(Tower):
+class CyclotomicTower(Tower, CyclotomicField):
     """L = Q(zeta_p) over K = Q for prime p, theta: zeta -> zeta^g."""
 
     kind = "cyclotomic"
@@ -540,34 +558,16 @@ class CyclotomicTower(Tower):
     def __init__(self, conductor: int):
         if not is_prime(conductor):
             raise ValueError(f"conductor {conductor} is not prime")
-        if conductor < 3:
-            raise ValueError("conductor must be at least 3")
-        self.conductor = conductor
-        self.m = conductor - 1
-        self.scalar_field = QQ
+        super().__init__(conductor)
         self.primitive_root = smallest_primitive_root(conductor)
-        self._field = CyclotomicField(conductor)
         self._check_theta_order()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclotomicTower) and other.conductor == self.conductor
-
-    def __hash__(self) -> int:
-        return hash(("CyclotomicTower", self.conductor))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicTower({self.conductor})"
-
     def generator(self) -> FieldElement:
-        return self.basis[1]  # zeta
-
-    def _mul_coords(self, a: tuple, b: tuple) -> tuple:
-        return self._field._mul_coords(a, b)
+        return self.zeta()
 
     def _theta_coords(self, coords: tuple, j: int) -> tuple:
         # theta^j is sigma_(g^j)
-        g_j = pow(self.primitive_root, j % self.m, self.conductor)
-        return self._field._sigma_coords(coords, g_j)
+        return self._move_coords(coords, pow(self.primitive_root, j % self.m, self.conductor))
 
 
 class KummerTower(Tower):
@@ -580,14 +580,11 @@ class KummerTower(Tower):
             raise ValueError("n must exceed 2")
         if n % 4 != 0:
             raise ValueError("n must be divisible by 4 so that i lies in K")
-        radicand = Fraction(radicand)
+        radicand = QQ.coerce(radicand)
         self._check_radicand(n, radicand)
+        super().__init__(CyclotomicField(n), n, n, radicand)
         self.n = n
-        self.m = n
         self.radicand = radicand
-        self.scalar_field = CyclotomicField(n)
-        # zeta_n^e as K-elements, for the theta action on coordinates
-        self._zeta_pows = [self.scalar_field.zeta(e) for e in range(n)]
         self._check_theta_order()
 
     @staticmethod
@@ -605,19 +602,6 @@ class KummerTower(Tower):
                 raise ValueError(f"radicand {c} is a square in Q(zeta_{n}), extension collapses")
             if d != 2 and _is_rational_power(c, d):
                 raise ValueError(f"radicand {c} is a {d}-th power, extension collapses")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KummerTower)
-            and other.n == self.n
-            and other.radicand == self.radicand
-        )
-
-    def __hash__(self) -> int:
-        return hash(("KummerTower", self.n, self.radicand))
-
-    def __repr__(self) -> str:
-        return f"KummerTower({self.n}, radicand={self.radicand})"
 
     def generator(self) -> FieldElement:
         return self.basis[1]  # alpha
@@ -643,9 +627,12 @@ class KummerTower(Tower):
         return tuple(out)
 
     def _theta_coords(self, coords: tuple, j: int) -> tuple:
-        j %= self.m
+        # theta^j: alpha^i -> zeta^(i j) alpha^i, so the exponents of the K
+        # coordinate of alpha^i shift by i j
+        field = self.scalar_field
         return tuple(
-            c * self._zeta_pows[(i * j) % self.n] for i, c in enumerate(coords)
+            CyclotomicElement(field, field._move_coords(c.coords, 1, i * j))
+            for i, c in enumerate(coords)
         )
 
 
@@ -681,39 +668,6 @@ def _is_int_power(v: int, d: int) -> bool:
         else:
             hi = mid
     return lo**d == v
-
-
-class FieldElement(_Element):
-    """Element of L held as exact coordinates with respect to the power basis."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            other = self._match(other)
-            return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
-        try:
-            scalar = self.field.scalar_field.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return FieldElement(self.field, tuple(scalar * c for c in self.coords))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by the norm: a^-1 = theta(a)...theta^(m-1)(a) / N(a).
-
-        N(a) = a * theta(a) * ... * theta^(m-1)(a) is fixed by theta, so it
-        lies in K.  If it is zero, or not in K, the tower is not a field and
-        ArithmeticError is raised.
-        """
-        tower = self.field
-        conjugates = (tower._theta_coords(self.coords, j) for j in range(1, tower.m))
-        return self._norm_inverse(conjugates, tower._mul_coords)
-
-    def theta(self, j: int = 1) -> "FieldElement":
-        """Image under the j-th power of the generating automorphism."""
-        return FieldElement(self.field, self.field._theta_coords(self.coords, j))
 
 
 def make_tower(kind: str, param: int, radicand: Rational = 2) -> Tower:

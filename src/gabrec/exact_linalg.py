@@ -39,7 +39,7 @@ class Matrix:
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
 
     def __getitem__(self, key) -> object:
         i, j = key

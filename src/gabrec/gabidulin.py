@@ -90,9 +90,7 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
     parity_check = right_kernel(generator)
     # syndrome_decode takes (0, ..., 0, s) as the preimage of s, which needs
     # the last n-k columns of H to be the identity
-    identity = tuple(
-        tuple(tower.one if j == i else tower.zero for j in range(n - k)) for i in range(n - k)
-    )
+    identity = Matrix.identity(tower, n - k).entries
     if tuple(row[k:] for row in parity_check.entries) != identity:
         raise AssertionError("parity-check matrix is not the identity on its last n-k columns")
     return GabCode(tower, n, k, tuple(points), generator, parity_check)

@@ -244,9 +244,9 @@ def _gaussian_parts(field: CyclotomicField, element) -> tuple[Fraction, Fraction
     # split elements of the span of 1 and i = zeta^(n/4) into a + b*i
     i_coords = field.zeta(field.conductor // 4).coords
     coords = field.coerce(element).coords
-    pivot = next(j for j in range(1, field.degree) if i_coords[j])
+    pivot = next(j for j in range(1, field.m) if i_coords[j])
     b = coords[pivot] / i_coords[pivot]
-    for j in range(1, field.degree):
+    for j in range(1, field.m):
         if coords[j] != b * i_coords[j]:
             raise ValueError("element is not of the form a + b*i")
     return coords[0] - b * i_coords[0], b

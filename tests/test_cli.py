@@ -144,6 +144,10 @@ def test_weights_usage_errors(tmp_path, capsys):
     vec.write_text("((1/0,0),(0,0),(0,0),(0,0))\n")
     assert main(["weights", str(vec), "--tower", "kummer:4"]) == USAGE_ERROR
     assert "gabrec weights: error:" in capsys.readouterr().err
+    # a short coordinate tuple is refused, not padded with zeros
+    vec.write_text("((1),(0,0),(0,0),(0,0))\n")
+    assert main(["weights", str(vec), "--tower", "kummer:4"]) == USAGE_ERROR
+    assert "gabrec weights: error:" in capsys.readouterr().err
 
 
 def test_approx_exact_copy(tmp_path, capsys):

@@ -288,6 +288,101 @@ def test_scalar_field_text(kummer4):
     assert QQ.to_text(Fraction(5)) == "5"
 
 
+def test_coordinates_are_strict(kummer4):
+    # a short tuple is not padded with zeros, and a float is not a coordinate
+    field = kummer4.scalar_field
+    for handle, text in [(field, "(1)"), (kummer4, "((1),(0,0),(0,0),(0,0))")]:
+        with pytest.raises(ValueError):
+            handle.from_text(text)
+    with pytest.raises(TypeError):
+        field.element([0.1])
+    with pytest.raises(TypeError):
+        field.from_coords([Fraction(1), 0.5])
+    assert field.element([3]) == field.from_coords([3, 0]) == 3
+    with pytest.raises(TypeError):
+        make_tower("kummer", 4, 0.1)
+
+
+def _random_element(handle, rng):
+    def scalar():
+        if handle.scalar_field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return _random_element(handle.scalar_field, rng)
+
+    return handle.from_coords([scalar() for _ in range(handle.m)])
+
+
+# each handle with one of the same kind that is a different field
+HANDLE_PAIRS = [
+    (lambda: CyclotomicField(4), lambda: CyclotomicField(12)),
+    (lambda: CyclotomicField(12), lambda: CyclotomicField(4)),
+    (lambda: make_tower("cyclotomic", 5), lambda: make_tower("cyclotomic", 7)),
+    (lambda: make_tower("cyclotomic", 7), lambda: make_tower("cyclotomic", 5)),
+    (lambda: make_tower("kummer", 4), lambda: make_tower("kummer", 4, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, make_foreign",
+    HANDLE_PAIRS,
+    ids=["field4", "field12", "cyclotomic5", "cyclotomic7", "kummer4"],
+)
+def test_handle_contract(make, make_foreign):
+    rng = random.Random(9)
+    handle, foreign = make(), make_foreign()
+    assert handle == make() and hash(handle) == hash(make())
+    assert handle != foreign
+    for _ in range(5):
+        a = _random_element(handle, rng)
+        assert handle.from_text(handle.to_text(a)) == a
+        assert handle.from_coords(a.coords) == a
+        assert handle.coerce(a) is a
+    assert handle.zero == 0 and handle.one == 1 and handle.embed_scalar(2) == 2
+    assert [b.coords.index(handle.scalar_field.one) for b in handle.basis] == list(range(handle.m))
+    with pytest.raises(ValueError):
+        handle.coerce(foreign.one)
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            handle.coerce(bad)
+    for length in (handle.m - 1, handle.m + 1):
+        with pytest.raises(ValueError):
+            handle.from_coords([handle.scalar_field.one] * length)
+
+
+def test_tower_is_not_its_field():
+    # Q(zeta_5) as a tower carries theta; as a field it is the K of no tower
+    tower, field = make_tower("cyclotomic", 5), CyclotomicField(5)
+    assert tower != field and field != tower
+    zeta_t, zeta_f = tower.zeta(), field.zeta()
+    assert zeta_t.coords == zeta_f.coords and zeta_t != zeta_f
+    with pytest.raises(TypeError):
+        zeta_t * zeta_f
+    with pytest.raises(TypeError):
+        zeta_f + zeta_t
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cyclotomic_tower_zeta_is_generator_power(p):
+    tower = make_tower("cyclotomic", p)
+    for e in range(-2, 2 * p + 1):
+        assert tower.zeta(e) == tower.generator() ** e
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_kummer_theta_is_a_shift(n):
+    # theta^j multiplies the K-coordinate of alpha^i by zeta^(i j); Phi_12
+    # has a middle term, so the shift also reduces modulo Phi_n
+    rng = random.Random(n)
+    tower = make_tower("kummer", n)
+    field, m = tower.scalar_field, tower.m
+    for _ in range(3):
+        a = _random_element(tower, rng)
+        for j in (-m - 1, -1, 0, 1, 2, m - 1, m, 2 * m + 3):
+            image = a.theta(j)
+            for i, c in enumerate(a.coords):
+                assert image.coords[i] == c * field.zeta(i * j)
+
+
 def test_cyclotomic_field_inverse():
     field = CyclotomicField(4)
     i = field.zeta()
@@ -366,16 +461,15 @@ def _probe_coords(rng, size):
 def test_cyclotomic_tower_kernels_match_fraction_reference(p):
     rng = random.Random(p)
     tower = make_tower("cyclotomic", p)
-    field = tower._field
     elements = [tower.from_coords(c) for c in _probe_coords(rng, tower.m)]
     for a in elements:
         for b in elements[:4]:
-            assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
+            assert (a * b).coords == _ref_mul(tower, a.coords, b.coords)
         for j in (-tower.m - 2, -1, 0, 1, 2, tower.m - 1, tower.m, 2 * tower.m + 3):
             g_j = pow(tower.primitive_root, j % tower.m, p)
             assert a.theta(j).coords == _ref_sigma(p, a.coords, g_j)
     for a in elements[:2] + rng.sample(elements[3:], 2):
-        columns = [_ref_mul(field, a.coords, b.coords) for b in tower.basis]
+        columns = [_ref_mul(tower, a.coords, b.coords) for b in tower.basis]
         assert a.inverse().coords == _ref_inverse(QQ, columns)
 
 
@@ -386,13 +480,13 @@ def test_cyclotomic_field_product_matches_fraction_reference(conductor):
     units = [a for a in range(1, conductor) if math.gcd(a, conductor) == 1]
     for k in range(-1, 2 * conductor):
         assert field.zeta(k).coords == _ref_zeta(conductor, k % conductor)
-    basis = [field.element([0] * e + [1]) for e in range(field.degree)]
-    elements = [field.element(c) for c in _probe_coords(rng, field.degree)]
+    basis = field.basis
+    elements = [field.element(c) for c in _probe_coords(rng, field.m)]
     for a in elements:
         for b in elements:
             assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
         for u in units:
-            assert field._sigma_coords(a.coords, u) == _ref_sigma(conductor, a.coords, u)
+            assert field._move_coords(a.coords, u) == _ref_sigma(conductor, a.coords, u)
         if a:
             columns = [_ref_mul(field, a.coords, b.coords) for b in basis]
             assert a.inverse().coords == _ref_inverse(QQ, columns)
@@ -409,9 +503,9 @@ def test_kummer_inverse_matches_solve(kummer4):
             for i in range(n)
         ]
 
-    for coords in _probe_coords(rng, n * field.degree):
+    for coords in _probe_coords(rng, n * field.m):
         a = kummer4.from_coords(
-            [field.element(coords[i : i + field.degree]) for i in range(0, len(coords), field.degree)]
+            [field.element(coords[i : i + field.m]) for i in range(0, len(coords), field.m)]
         )
         if a:
             columns = [times_alpha_power(a.coords, j) for j in range(n)]

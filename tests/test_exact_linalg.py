@@ -23,6 +23,9 @@ def test_rref_identity():
     assert reduced == m
     assert rk == 3
     assert pivots == [0, 1, 2]
+    empty = Matrix.identity(QQ, 0)
+    assert empty.shape == (0, 0)
+    assert rref(empty)[1] == 0
 
 
 def test_rref_zero_matrix():
