@@ -18,7 +18,7 @@ from .exact_algebra import (
     make_tower,
     tower_from_spec,
 )
-from .exact_linalg import Matrix, format_matrix, parse_matrix, rank, right_kernel, rref, solve
+from .exact_linalg import Matrix, format_matrix, parse_matrix, rank, right_kernel, rref
 from .gabidulin import (
     DecodeResult,
     GabCode,
@@ -62,7 +62,6 @@ __all__ = [
     "rank",
     "right_kernel",
     "rref",
-    "solve",
     "SkewPoly",
     "format_poly",
     "left_divide",

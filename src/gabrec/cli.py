@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run seeded measure/recover trials")
     demo.add_argument("--tower", default="cyclotomic:5", help="cyclotomic:p or kummer:n")
-    demo.add_argument("--n", type=int, default=4, help="code length (must equal m)")
     demo.add_argument("--k", type=int, default=2, help="code dimension")
     demo.add_argument("--rank", type=int, default=1, help="planted rank per trial")
     demo.add_argument("--trials", type=int, default=20)
@@ -203,9 +202,10 @@ def _resolve_seed(given: int | None) -> int:
 
 
 def _cmd_demo(args) -> int:
+    # the pipeline needs n = m, so the code length is the tower's degree
     config = ExperimentConfig(
         tower=args.tower,
-        n=args.n,
+        n=tower_from_spec(args.tower).m,
         k=args.k,
         planted_rank=args.rank,
         trials=args.trials,

@@ -2,15 +2,17 @@
 
 A field handle is any object exposing ``zero``, ``one``, ``coerce``,
 ``to_text`` and ``from_text`` (see :mod:`gabrec.exact_algebra`); entries
-only need the arithmetic operators.  Elimination keeps every intermediate
-value exact, so ranks, kernels and solutions are never approximate.
+only need the arithmetic operators.  :class:`Matrix` is an immutable
+container with the one product recovery needs, ``mul_vec`` (the syndrome
+map).  Elimination keeps every intermediate value exact, so reduced
+forms, ranks and kernels are never approximate.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["Matrix", "rref", "rank", "right_kernel", "solve", "format_matrix", "parse_matrix"]
+__all__ = ["Matrix", "rref", "rank", "right_kernel", "format_matrix", "parse_matrix"]
 
 
 class Matrix:
@@ -32,48 +34,12 @@ class Matrix:
         self.entries = entries
 
     @classmethod
-    def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
 
-    def __getitem__(self, key) -> object:
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        z = self.field.zero
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for l in range(self.cols):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out, cols=other.cols)
 
     def mul_vec(self, vec: Sequence) -> list:
         if len(vec) != self.cols:
@@ -87,39 +53,9 @@ class Matrix:
             out.append(acc)
         return out
 
-    def scale(self, factor) -> "Matrix":
-        factor = self.field.coerce(factor)
-        return Matrix(
-            self.field,
-            [[factor * v for v in row] for row in self.entries],
-            cols=self.cols,
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return Matrix(
-            self.field,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + other.scale(-self.field.one)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -151,12 +87,13 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        # the pivot row is zero left of col, so only columns col onwards change
         inv = _invert(rows[r][col])
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(matrix.rows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r][col:] = [v * inv for v in rows[r][col:]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                factor = row[col]
+                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot)]
         pivots.append(col)
         r += 1
         if r == matrix.rows:
@@ -188,29 +125,6 @@ def right_kernel(matrix: Matrix) -> Matrix:
             vec[p] = -reduced.entries[i][f]
         basis.append(vec)
     return Matrix(matrix.field, basis, cols=matrix.cols)
-
-
-def solve(matrix: Matrix, rhs: Sequence) -> list | None:
-    """A particular solution of M x = rhs with free variables pinned to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    rhs = [matrix.field.coerce(v) for v in rhs]
-    if len(rhs) != matrix.rows:
-        raise ValueError(f"right-hand side length {len(rhs)} does not match {matrix.rows} rows")
-    augmented = Matrix(
-        matrix.field,
-        [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)],
-        cols=matrix.cols + 1,
-    )
-    reduced, _, pivots = rref(augmented)
-    if matrix.cols in pivots:
-        return None
-    z = matrix.field.zero
-    x = [z] * matrix.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced.entries[i][matrix.cols]
-    return x
 
 
 def format_matrix(matrix: Matrix) -> str:

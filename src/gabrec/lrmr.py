@@ -52,7 +52,6 @@ class MeasurementRecord:
 
     y: tuple
     code_descriptor: dict
-    order: str = VECTORIZATION_ORDER
 
     def __post_init__(self):
         expected = self.code_descriptor["n"] * (
@@ -99,8 +98,6 @@ def recover(code: GabCode, record: MeasurementRecord) -> Matrix | None:
     """
     tower = code.tower
     _require_pipeline_shape(code)
-    if record.order != VECTORIZATION_ORDER:
-        raise ValueError(f"unsupported vectorization order {record.order!r}")
     if record.code_descriptor != code_to_descriptor(code):
         raise ValueError("measurement was taken under a different code")
     m = tower.m
@@ -275,14 +272,16 @@ def frobenius_error_sq(approx: Matrix, original: Sequence[Sequence]) -> Fraction
 def record_to_json(record: MeasurementRecord, field) -> dict:
     return {
         "code": dict(record.code_descriptor),
-        "order": record.order,
+        "order": VECTORIZATION_ORDER,
         "y": [field.to_text(v) for v in record.y],
     }
 
 
 def record_from_json(payload: dict, field) -> MeasurementRecord:
+    order = payload.get("order", VECTORIZATION_ORDER)
+    if order != VECTORIZATION_ORDER:
+        raise ValueError(f"unsupported vectorization order {order!r}")
     return MeasurementRecord(
         tuple(field.from_text(t) for t in payload["y"]),
         dict(payload["code"]),
-        payload.get("order", VECTORIZATION_ORDER),
     )

@@ -1,4 +1,5 @@
-"""Shared fixtures and height-bounded random generators for the test suite.
+"""Shared fixtures, matrix helpers, the linear-solve reference, and
+height-bounded random generators for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
 arithmetic never fails, but coefficient growth makes large inputs slow.
@@ -8,7 +9,30 @@ import random
 
 import pytest
 
-from gabrec import CyclotomicTower, SkewPoly, make_tower
+from gabrec import CyclotomicTower, Matrix, SkewPoly, make_tower, rref
+
+
+def solve(matrix, rhs):
+    """A particular solution of M x = rhs with free variables pinned to zero.
+
+    Returns None when the system is inconsistent.  Recovery never solves a
+    linear system; the tests keep this as an independent reference.
+    """
+    rhs = [matrix.field.coerce(v) for v in rhs]
+    if len(rhs) != matrix.rows:
+        raise ValueError(f"right-hand side length {len(rhs)} does not match {matrix.rows} rows")
+    augmented = Matrix(
+        matrix.field,
+        [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)],
+        cols=matrix.cols + 1,
+    )
+    reduced, _, pivots = rref(augmented)
+    if matrix.cols in pivots:
+        return None
+    x = [matrix.field.zero] * matrix.cols
+    for i, p in enumerate(pivots):
+        x[p] = reduced.entries[i][matrix.cols]
+    return x
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +43,19 @@ def zeta5():
 @pytest.fixture(scope="session")
 def kummer4():
     return make_tower("kummer", 4)
+
+
+def zero_matrix(field, rows, cols):
+    return Matrix(field, [[field.zero] * cols for _ in range(rows)], cols=cols)
+
+
+def axpy(a, x, y):
+    """Entrywise a*x + y of two matrices of the same shape."""
+    return Matrix(
+        x.field,
+        [[a * u + v for u, v in zip(rx, ry)] for rx, ry in zip(x.entries, y.entries)],
+        cols=x.cols,
+    )
 
 
 def rand_scalar(tower, rng, height=5):

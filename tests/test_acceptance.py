@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from conftest import rand_element, rand_error, rand_poly, rand_scalar, rand_vector
+from conftest import axpy, rand_element, rand_error, rand_poly, rand_scalar, rand_vector
 from gabrec import (
     WEIGHT_KINDS,
     SkewPoly,
@@ -225,7 +225,7 @@ def test_criterion_7_measurement_contract():
             a = field.coerce(rng.randint(-5, 5))
             mx, my = measure(code, x), measure(code, y)
             assert len(mx.y) == p
-            combined = measure(code, x.scale(a) + y)
+            combined = measure(code, axpy(a, x, y))
             assert combined.y == tuple(a * u + v for u, v in zip(mx.y, my.y))
         for _ in range(100):
             f = rand_poly(tower, rng, code.k - 1, height=4)

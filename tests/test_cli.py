@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gabrec.cli import (
     OK,
     USAGE_ERROR,
@@ -57,7 +59,7 @@ def test_demo_kummer_tower(tmp_path):
 
 def test_demo_hundred_trials(tmp_path):
     out = tmp_path / "report.json"
-    args = ["demo", "--tower", "cyclotomic:5", "--n", "4", "--k", "2",
+    args = ["demo", "--tower", "cyclotomic:5", "--k", "2",
             "--rank", "1", "--trials", "100", "--seed", "1", "--height", "10",
             "--out", str(out)]
     assert main(args) == OK
@@ -90,10 +92,17 @@ def test_demo_usage_errors(tmp_path):
     assert main(["demo", "--tower", "cyclotomic:6"]) == USAGE_ERROR
     assert main(["demo", "--tower", "nonsense"]) == USAGE_ERROR
     assert main(["demo", "--tower", "kummer:8"]) == USAGE_ERROR  # not a field
-    assert main(["demo", "--n", "3"]) == USAGE_ERROR  # pipeline needs n = m
     assert main(["demo", "--trials", "0"]) == USAGE_ERROR
     assert main(["demo", "--rank", "5"]) == USAGE_ERROR
     assert main(["nonsense"]) == USAGE_ERROR
+    with pytest.raises(ValueError, match="n = m"):
+        run_experiment(ExperimentConfig("cyclotomic:5", 3, 2, 1, 1, 0, 5))
+
+
+def test_demo_takes_n_from_tower(capsys):
+    # the code length is the tower's degree m, so every tower runs as given
+    assert main(["demo", "--tower", "cyclotomic:7", "--trials", "1"]) == OK
+    assert json.loads(capsys.readouterr().out)["config"]["n"] == 6
 
 
 def test_config_roundtrip():

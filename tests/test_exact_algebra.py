@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_element, rand_nonzero_element, rand_scalar
-from gabrec import Matrix, QQ, make_tower, rank, solve, tower_from_spec
+from conftest import rand_element, rand_nonzero_element, rand_scalar, solve
+from gabrec import Matrix, QQ, make_tower, rank, tower_from_spec
 from gabrec.exact_algebra import (
     CyclotomicField,
     KummerTower,

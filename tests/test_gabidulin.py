@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import rand_element, rand_error
+from conftest import rand_element, rand_error, solve
 from gabrec import (
     Matrix,
     SkewPoly,
@@ -16,7 +16,6 @@ from gabrec import (
     make_tower,
     rank,
     rank_weight,
-    solve,
     syndrome_decode,
     wb_decode,
 )
@@ -42,8 +41,8 @@ def rand_message(code, rng, height=5):
 
 def test_generator_is_theta_moore(code5, zeta5):
     zeta = zeta5.basis[1]
-    assert list(code5.generator.row(0)) == list(zeta5.basis)
-    assert list(code5.generator.row(1)) == [zeta5.one, zeta**2, zeta**4, zeta]
+    assert list(code5.generator.entries[0]) == list(zeta5.basis)
+    assert list(code5.generator.entries[1]) == [zeta5.one, zeta**2, zeta**4, zeta]
     assert code5.radius == 1
     assert code5.design_distance == 3
 
@@ -58,7 +57,8 @@ def assert_systematic(code):
 
 def test_parity_check_shape(code5, zeta5, kummer4, monkeypatch):
     assert code5.parity_check.shape == (2, 4)
-    assert (code5.generator * code5.parity_check.transpose()).is_zero()
+    for row in code5.generator.entries:  # G H^T = 0
+        assert not any(code5.parity_check.mul_vec(row))
     assert rank(code5.parity_check) == 2
     for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
         for k in range(1, tower.m + 1):

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_poly
+from conftest import axpy, rand_poly, zero_matrix
 from gabrec import (
-    Matrix,
     QQ,
     approximate_complex,
     approximate_real,
@@ -40,7 +39,7 @@ def code_k4(kummer4):
 
 
 def test_measure_zero(code5):
-    zero = Matrix.zeros(QQ, 4, 4)
+    zero = zero_matrix(QQ, 4, 4)
     record = measure(code5, zero)
     assert len(record.y) == 4 * (4 - 2)
     assert all(v == 0 for v in record.y)
@@ -63,7 +62,7 @@ def test_measure_is_linear(code5, code_k4):
             x = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
             y = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
             a = field.coerce(rng.randint(-5, 5))
-            lhs = measure(code, x.scale(a) + y).y
+            lhs = measure(code, axpy(a, x, y)).y
             rhs = tuple(
                 a * u + v for u, v in zip(measure(code, x).y, measure(code, y).y)
             )
@@ -72,12 +71,12 @@ def test_measure_is_linear(code5, code_k4):
 
 def test_measure_validates_input(code5, zeta5, kummer4):
     with pytest.raises(ValueError):
-        measure(code5, Matrix.zeros(QQ, 3, 4))
+        measure(code5, zero_matrix(QQ, 3, 4))
     with pytest.raises(ValueError):
-        measure(code5, Matrix.zeros(kummer4.scalar_field, 4, 4))
+        measure(code5, zero_matrix(kummer4.scalar_field, 4, 4))
     small = build_code(zeta5, 2, 1)
     with pytest.raises(ValueError):
-        measure(small, Matrix.zeros(QQ, 4, 2))  # pipeline needs n = m
+        measure(small, zero_matrix(QQ, 4, 2))  # pipeline needs n = m
 
 
 def test_recover_roundtrip(code5, code_k4):
@@ -103,7 +102,7 @@ def test_recover_beyond_radius(code5):
 
 
 def test_recover_validates_record(code5, code_k4):
-    record = measure(code_k4, Matrix.zeros(code_k4.tower.scalar_field, 4, 4))
+    record = measure(code_k4, zero_matrix(code_k4.tower.scalar_field, 4, 4))
     with pytest.raises(ValueError):
         recover(code5, record)
     with pytest.raises(ValueError):
@@ -116,7 +115,7 @@ def test_random_low_rank_ranks():
         instance = random_low_rank(4, 4, r, 10, rng=rng)
         assert instance.planted_rank == r
         assert rank(instance.matrix) == r
-    assert random_low_rank(3, 5, 0, 1, rng=rng).matrix.is_zero()
+    assert random_low_rank(3, 5, 0, 1, rng=rng).matrix == zero_matrix(QQ, 3, 5)
     with pytest.raises(ValueError):
         random_low_rank(3, 5, 4, 10, rng=rng)
     with pytest.raises(ValueError):
@@ -217,6 +216,16 @@ def test_record_json_roundtrip(code5, code_k4):
         assert payload["order"] == "row-major"
         assert record_from_json(payload, field) == record
         assert recover(code, record_from_json(payload, field)) == instance.matrix
+
+
+def test_record_json_rejects_other_orders(code5):
+    field = code5.tower.scalar_field
+    payload = record_to_json(measure(code5, zero_matrix(field, 4, 4)), field)
+    del payload["order"]  # records without an order are row-major
+    assert record_from_json(payload, field).y == (0,) * 8
+    payload["order"] = "column-major"
+    with pytest.raises(ValueError, match="column-major"):
+        record_from_json(payload, field)
 
 
 @given(st.fractions())
