@@ -80,6 +80,7 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
     deterministic for a given input.
     """
     rows = [list(row) for row in matrix.entries]
+    zero, one = matrix.field.zero, matrix.field.one
     pivots: list[int] = []
     r = 0
     for col in range(matrix.cols):
@@ -87,13 +88,16 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        # the pivot row is zero left of col, so only columns col onwards change
+        # the pivot row is zero left of col, so only columns col onwards change;
+        # the pivot column becomes exactly one and zero without arithmetic
         inv = _invert(rows[r][col])
-        pivot = rows[r][col:] = [v * inv for v in rows[r][col:]]
+        pivot = rows[r][col + 1 :] = [v * inv for v in rows[r][col + 1 :]]
+        rows[r][col] = one
         for i, row in enumerate(rows):
             if i != r and row[col]:
                 factor = row[col]
-                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot)]
+                row[col + 1 :] = [a - factor * b for a, b in zip(row[col + 1 :], pivot)]
+                row[col] = zero
         pivots.append(col)
         r += 1
         if r == matrix.rows:

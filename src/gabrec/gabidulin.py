@@ -15,9 +15,17 @@ syndrome decoding is one decode of that word, with no linear solve.
 
 Decoding interpolates a pair (V, N) with deg V <= t and deg N <= k-1+t
 such that V(r_i) = N(g_i) at every point, then extracts the message as the
-exact left quotient N = V * f.  The whole computation is one kernel of an
-n-by-(2t+k+1) linear system over L plus one Euclidean division, hence cubic
-in n; errors of rank weight up to t = floor((n-k)/2) are corrected uniquely.
+exact left quotient N = V * f (Loidreau, WCC 2005); errors of rank weight
+up to t = floor((n-k)/2) are corrected uniquely.  Any nonzero solution
+gives that error, so the decoder may solve a smaller system with the same
+solutions.  It decodes the word (0, ..., 0, s), where s = H r; that word
+differs from r by a codeword.  N vanishes on the first k points, so
+N = Q * P with P = msp(g_0, ..., g_(k-1)) of degree k and deg Q < t, and
+the conditions left are V(s_j) = Q(h_j) with h_j = P(g_(k+j)).  That is one
+kernel of an (n-k)-by-(2t+1) system over L, in place of n-by-(2t+k+1).  The
+h_j are K-independent, so their theta-Moore block of t columns has full
+column rank (Augot-Loidreau-Robert): every nonzero kernel vector has V != 0.
+Those columns come first, so that elimination pivots on their small entries.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Sequence
 from .exact_algebra import FieldElement, Tower, make_tower
 from .exact_linalg import Matrix, right_kernel, rref
 from .rank_metric import ext, rank_weight, theta_matrix
-from .skew_poly import SkewPoly, left_divide
+from .skew_poly import SkewPoly, left_divide, msp
 
 __all__ = [
     "GabCode",
@@ -120,28 +128,51 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     """
     received = _coerce_word(code, received)
     tower, t, k = code.tower, code.radius, code.k
-    # columns: V_0..V_t multiply theta-iterates of r, N_0..N_{k-1+t} of g (negated)
-    v_block = theta_matrix(tower, received, t + 1)
-    n_block = theta_matrix(tower, code.points, k + t)
-    rows = [[*v_block.column(i), *(-x for x in n_block.column(i))] for i in range(code.n)]
-    kernel = right_kernel(Matrix(tower, rows, cols=2 * t + k + 1))
+    head, syndrome = received[:k], received[k:]
+    if any(head):
+        # r - (0, s) is the codeword that agrees with r on the first k points
+        syndrome = [
+            s + sum((h * r for h, r in zip(row, head)), tower.zero)
+            for s, row in zip(syndrome, code.parity_check.entries)
+        ]
+    # interpolate V(s_j) = Q(h_j) with h_j = P(g_(k+j)), P the annihilator of
+    # the first k points; columns: Q_0..Q_(t-1) (negated), then V_0..V_t
+    annihilator = msp(tower, code.points[:k])
+    h_block = theta_matrix(tower, [annihilator.evaluate(g) for g in code.points[k:]], t)
+    s_block = theta_matrix(tower, syndrome, t + 1)
+    rows = [
+        [*(-x for x in h_block.column(j)), *s_block.column(j)] for j in range(code.n - k)
+    ]
+    kernel = right_kernel(Matrix(tower, rows, cols=2 * t + 1))
     if kernel.rows == 0:
         return DecodeResult(success=False)
-    vec = next((row for row in kernel.entries if any(row[: t + 1])), None)
-    if vec is None:
-        return DecodeResult(success=False)
-    locator = SkewPoly(tower, vec[: t + 1])
-    numerator = SkewPoly(tower, vec[t + 1 :])
+    # the h block has full column rank, so every kernel vector has V != 0
+    vec = kernel.entries[0]
+    locator = SkewPoly(tower, vec[t:])
+    numerator = SkewPoly(tower, vec[:t]) * annihilator
     message, remainder = left_divide(numerator, locator)
     if not remainder.is_zero() or message.degree >= k:
         return DecodeResult(success=False)
     codeword = encode(code, message)
-    error = [r - c for r, c in zip(received, codeword)]
+    error = [w - c for w, c in zip([tower.zero] * k + syndrome, codeword)]
     if rank_weight(tower, error, "B") > t:
         return DecodeResult(success=False)
+    if any(head):
+        # add back the codeword r - (0, s) and its message
+        message = message + _interpolate(tower, code.points[:k], head)
+        codeword = [r - e for r, e in zip(received, error)]
     return DecodeResult(
         success=True, codeword=tuple(codeword), error=tuple(error), message=message
     )
+
+
+def _interpolate(tower: Tower, points: Sequence, values: Sequence) -> SkewPoly:
+    """Polynomial of degree < len(points) with the given values (Newton form)."""
+    poly = SkewPoly(tower)
+    for i, (g, v) in enumerate(zip(points, values)):
+        basis = msp(tower, points[:i])
+        poly = poly + ((v - poly.evaluate(g)) / basis.evaluate(g)) * basis
+    return poly
 
 
 def syndrome_decode(code: GabCode, syndrome: Sequence) -> list[FieldElement] | None:

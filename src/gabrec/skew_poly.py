@@ -172,17 +172,19 @@ def msp(tower: Tower, elements: Sequence) -> SkewPoly:
     """Monic annihilator of least degree of the K-span of the given elements.
 
     Built iteratively: each element not already annihilated contributes the
-    left factor (x - theta(w)/w) with w the current evaluation, so the final
-    degree equals the K-dimension of the span.
+    left factor (w x - theta(w)) with w the current evaluation, so the final
+    degree equals the K-dimension of the span.  The factors are not monic;
+    the monic annihilator is unique, so one normalisation at the end gives
+    it with a single inversion.
     """
     poly = SkewPoly.constant(tower, tower.one)
     for v in elements:
         w = poly.evaluate(v)
         if not w:
             continue
-        factor = SkewPoly(tower, [-(w.theta() / w), tower.one])
+        factor = SkewPoly(tower, [-w.theta(), w])
         poly = factor * poly
-    return poly
+    return poly.monic()
 
 
 def format_poly(p: SkewPoly) -> str:

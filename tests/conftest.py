@@ -1,4 +1,5 @@
-"""Shared fixtures, matrix helpers, the linear-solve reference, and
+"""Shared fixtures, matrix helpers, the references the library is checked
+against (linear solve, full-kernel decoder, per-factor msp), and
 height-bounded random generators for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
@@ -9,7 +10,19 @@ import random
 
 import pytest
 
-from gabrec import CyclotomicTower, Matrix, SkewPoly, make_tower, rref
+from gabrec import (
+    CyclotomicTower,
+    DecodeResult,
+    Matrix,
+    SkewPoly,
+    encode,
+    left_divide,
+    make_tower,
+    rank_weight,
+    right_kernel,
+    rref,
+    theta_matrix,
+)
 
 
 def solve(matrix, rhs):
@@ -33,6 +46,46 @@ def solve(matrix, rhs):
     for i, p in enumerate(pivots):
         x[p] = reduced.entries[i][matrix.cols]
     return x
+
+
+def reference_wb_decode(code, received):
+    """Decoder on the full n-by-(2t+k+1) interpolation system V(r_i) = N(g_i).
+
+    The library decodes on n-k rows after factoring the first k points out
+    of N; this is the unreduced system it must agree with.
+    """
+    tower, t, k = code.tower, code.radius, code.k
+    received = [tower.coerce(x) for x in received]
+    # columns: V_0..V_t multiply theta-iterates of r, N_0..N_{k-1+t} of g (negated)
+    v_block = theta_matrix(tower, received, t + 1)
+    n_block = theta_matrix(tower, code.points, k + t)
+    rows = [[*v_block.column(i), *(-x for x in n_block.column(i))] for i in range(code.n)]
+    kernel = right_kernel(Matrix(tower, rows, cols=2 * t + k + 1))
+    vec = next((row for row in kernel.entries if any(row[: t + 1])), None)
+    if vec is None:
+        return DecodeResult(success=False)
+    locator = SkewPoly(tower, vec[: t + 1])
+    numerator = SkewPoly(tower, vec[t + 1 :])
+    message, remainder = left_divide(numerator, locator)
+    if not remainder.is_zero() or message.degree >= k:
+        return DecodeResult(success=False)
+    codeword = encode(code, message)
+    error = [r - c for r, c in zip(received, codeword)]
+    if rank_weight(tower, error, "B") > t:
+        return DecodeResult(success=False)
+    return DecodeResult(
+        success=True, codeword=tuple(codeword), error=tuple(error), message=message
+    )
+
+
+def reference_msp(tower, elements):
+    """Minimal subspace polynomial as a product of monic factors x - theta(w)/w."""
+    poly = SkewPoly.constant(tower, tower.one)
+    for v in elements:
+        w = poly.evaluate(v)
+        if w:
+            poly = SkewPoly(tower, [-(w.theta() / w), tower.one]) * poly
+    return poly
 
 
 @pytest.fixture(scope="session")

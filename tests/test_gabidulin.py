@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import rand_element, rand_error, solve
+from conftest import rand_element, rand_error, reference_wb_decode, solve
 from gabrec import (
     Matrix,
     SkewPoly,
@@ -170,6 +170,26 @@ def test_decode_beyond_radius_never_lies(code5):
         else:
             failures += 1
     assert failures > 0  # weight 2 exceeds the radius of a (4, 2) code
+
+
+def test_decode_matches_full_kernel_reference(zeta5, kummer4):
+    # every k (t = 0 included), error ranks up to one past n-k, and each word
+    # both as received and as its zero-prefix form (0, ..., 0, H r)
+    rng = random.Random(13)
+    for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
+        n = tower.m
+        for k in range(1, n + 1):
+            code = build_code(tower, n, k)
+            for weight in range(n - k + 2):
+                c = encode(code, rand_message(code, rng, height=3))
+                e = rand_error(tower, rng, n, weight, height=2)
+                received = [ci + ei for ci, ei in zip(c, e)]
+                prefixed = [tower.zero] * k + code.parity_check.mul_vec(received)
+                for word in (received, prefixed):
+                    result = wb_decode(code, word)
+                    assert result == reference_wb_decode(code, word)
+                    if weight <= code.radius:
+                        assert result.success
 
 
 def test_syndrome_decode_zero(code5):

@@ -18,6 +18,7 @@ from gabrec import (
     encode,
     ext,
     frobenius_error_sq,
+    make_tower,
     measure,
     random_low_rank,
     rank,
@@ -88,6 +89,15 @@ def test_recover_roundtrip(code5, code_k4):
                 instance = random_low_rank(4, 4, r, 10, rng=rng, field=field)
                 record = measure(code, instance.matrix)
                 assert recover(code, record) == instance.matrix
+
+
+def test_recover_kummer12_full_size():
+    # the largest tower at full length: n = m = 12, k = 4, so t = 4
+    tower = make_tower("kummer", 12)
+    code = build_code(tower, 12, 4)
+    field = tower.scalar_field
+    instance = random_low_rank(12, 12, 2, 10, rng=random.Random(0), field=field)
+    assert recover(code, measure(code, instance.matrix)) == instance.matrix
 
 
 def test_recover_beyond_radius(code5):

@@ -4,8 +4,15 @@ import random
 
 import pytest
 
-from conftest import rand_element, rand_nonzero_element, rand_poly, rand_scalar, rand_vector
-from gabrec import SkewPoly, ext, format_poly, left_divide, msp, parse_poly, rank
+from conftest import (
+    rand_element,
+    rand_nonzero_element,
+    rand_poly,
+    rand_scalar,
+    rand_vector,
+    reference_msp,
+)
+from gabrec import SkewPoly, ext, format_poly, left_divide, make_tower, msp, parse_poly, rank
 
 
 def test_add_examples(zeta5, kummer4):
@@ -181,6 +188,23 @@ def test_msp_annihilates_span(zeta5):
             for v in vec:
                 combo = combo + rng.randint(-4, 4) * v
             assert not poly.evaluate(combo)
+
+
+def test_msp_matches_per_factor_reference(zeta5, kummer4):
+    # msp normalises once at the end; the monic annihilator is unique, so it
+    # equals the product of monic factors, also on dependent and zero entries
+    rng = random.Random(12)
+    for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
+        assert msp(tower, []) == reference_msp(tower, [])
+        for _ in range(8):
+            vec = rand_vector(tower, rng, rng.randint(1, tower.m), height=3)
+            for _ in range(rng.randint(1, 2)):
+                combo = tower.zero
+                for v in vec:
+                    combo = combo + rand_scalar(tower, rng, 3) * v
+                vec.insert(rng.randint(0, len(vec)), combo)
+            vec.insert(rng.randint(0, len(vec)), tower.zero)
+            assert msp(tower, vec) == reference_msp(tower, vec)
 
 
 def test_ring_axioms_random(zeta5, kummer4):
