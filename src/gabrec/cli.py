@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("matrix", help="file: 'm n' header then decimal/complex rows")
     approx.add_argument("--epsilon", type=float, required=True, help="Frobenius bound")
     approx.add_argument("--tower", default=None,
-                        help="kummer:n, required for complex input")
+                        help="kummer:n (needed for complex input) or cyclotomic:p (rationals)")
     approx.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
@@ -284,11 +284,12 @@ def _cmd_approx(args) -> int:
         raise ValueError("epsilon must be positive")
     with open(args.matrix) as handle:
         rows, is_complex = _parse_float_matrix(handle.read())
+    # --tower names the base field: Q for a cyclotomic tower, Q(zeta_n) for Kummer
     tower = tower_from_spec(args.tower) if args.tower else None
-    if is_complex and tower is None:
-        raise ValueError("complex input needs --tower kummer:n (with 4 | n)")
-    if tower is not None:
+    if tower is not None and tower.kind == "kummer":
         result = approximate_complex(rows, args.epsilon, tower)
+    elif is_complex:
+        raise ValueError("complex input needs --tower kummer:n (with 4 | n)")
     else:
         result = approximate_real(rows, args.epsilon)
     error_sq = frobenius_error_sq(result, rows)

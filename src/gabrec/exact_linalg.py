@@ -3,14 +3,14 @@
 A field handle is any object exposing ``zero``, ``one``, ``coerce``,
 ``to_text`` and ``from_text`` (see :mod:`gabrec.exact_algebra`); entries
 only need the arithmetic operators.  :class:`Matrix` is an immutable
-container with the one product recovery needs, ``mul_vec`` (the syndrome
-map).  Elimination keeps every intermediate value exact, so reduced
-forms, ranks and kernels are never approximate.
+container; the products recovery needs live with the code
+(``gabrec.gabidulin``).  Elimination keeps every intermediate value exact,
+so reduced forms, ranks and kernels are never approximate.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["Matrix", "rref", "rank", "right_kernel", "format_matrix", "parse_matrix"]
 
@@ -40,18 +40,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
-
-    def mul_vec(self, vec: Sequence) -> list:
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        z = self.field.zero
-        out = []
-        for i in range(self.rows):
-            acc = z
-            for j, v in enumerate(vec):
-                acc = acc + self.entries[i][j] * v
-            out.append(acc)
-        return out
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -3,15 +3,17 @@
 A code of length n and dimension k evaluates twisted polynomials of degree
 below k at n evaluation points that are linearly independent over K.  The
 generator matrix G has entry theta^i(g_j); the parity-check matrix H is a
-right-kernel basis of G, which is all the recovery pipeline needs.
+right-kernel basis of G.  Encoding is the product with G and the syndrome
+the product with H.
 
 H is systematic: its last n-k columns are the identity.  In a cyclic
 extension the k-by-k theta-Moore block of K-independent points is
 invertible (Augot-Loidreau-Robert, ISIT 2013), so the pivots of G are its
-first k columns and the kernel basis puts I_(n-k) on the free ones.  A
-syndrome s is therefore its own preimage: H (0, ..., 0, s) = s, and
-syndrome decoding is one decode of that word, with no linear solve.
-``build_code`` checks the identity block, since the decoder relies on it.
+first k columns and the kernel basis puts I_(n-k) on the free ones.  So
+``GabCode.syndrome``, which ``measure`` and the decoder share, multiplies
+only the head: H r = r[k:] + H[:, :k] r[:k].  A syndrome s is its own
+preimage, H (0, ..., 0, s) = s, and syndrome decoding is one decode of
+that word, with no linear solve.  ``build_code`` checks the identity block.
 
 Decoding interpolates a pair (V, N) with deg V <= t and deg N <= k-1+t
 such that V(r_i) = N(g_i) at every point, then extracts the message as the
@@ -71,6 +73,17 @@ class GabCode:
     def design_distance(self) -> int:
         return self.n - self.k + 1
 
+    def syndrome(self, word: Sequence) -> list[FieldElement]:
+        """Parity-check image H word; H is the identity on its last n-k columns."""
+        word = _coerce_word(self, word)
+        head, tail = word[: self.k], word[self.k :]
+        if not any(head):
+            return tail
+        return [
+            s + sum((h * x for h, x in zip(row, head)), self.tower.zero)
+            for s, row in zip(tail, self.parity_check.entries)
+        ]
+
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -96,8 +109,8 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
         raise ValueError("evaluation points are linearly dependent over the base field")
     generator = theta_matrix(tower, points, k)
     parity_check = right_kernel(generator)
-    # syndrome_decode takes (0, ..., 0, s) as the preimage of s, which needs
-    # the last n-k columns of H to be the identity
+    # GabCode.syndrome multiplies only the head, and syndrome_decode takes
+    # (0, ..., 0, s) as the preimage of s: both need H[:, k:] = I
     identity = Matrix.identity(tower, n - k).entries
     if tuple(row[k:] for row in parity_check.entries) != identity:
         raise AssertionError("parity-check matrix is not the identity on its last n-k columns")
@@ -105,12 +118,15 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
 
 
 def encode(code: GabCode, message: SkewPoly) -> list[FieldElement]:
-    """Evaluate the message polynomial at the code's points."""
+    """Evaluations of the message at the code's points: sum_i f_i G[i]."""
     if message.tower != code.tower:
         raise ValueError("message polynomial belongs to a different tower")
     if message.degree >= code.k:
         raise ValueError(f"message degree {message.degree} not below k={code.k}")
-    return [message.evaluate(g) for g in code.points]
+    return [
+        sum((c * g for c, g in zip(message.coeffs, column) if c), code.tower.zero)
+        for column in zip(*code.generator.entries)
+    ]
 
 
 def _coerce_word(code: GabCode, word: Sequence) -> list[FieldElement]:
@@ -128,13 +144,7 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     """
     received = _coerce_word(code, received)
     tower, t, k = code.tower, code.radius, code.k
-    head, syndrome = received[:k], received[k:]
-    if any(head):
-        # r - (0, s) is the codeword that agrees with r on the first k points
-        syndrome = [
-            s + sum((h * r for h, r in zip(row, head)), tower.zero)
-            for s, row in zip(syndrome, code.parity_check.entries)
-        ]
+    head, syndrome = received[:k], code.syndrome(received)
     # interpolate V(s_j) = Q(h_j) with h_j = P(g_(k+j)), P the annihilator of
     # the first k points; columns: Q_0..Q_(t-1) (negated), then V_0..V_t
     annihilator = msp(tower, code.points[:k])
@@ -158,7 +168,7 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     if rank_weight(tower, error, "B") > t:
         return DecodeResult(success=False)
     if any(head):
-        # add back the codeword r - (0, s) and its message
+        # add back the codeword r - (0, s), equal to r on the head, and its message
         message = message + _interpolate(tower, code.points[:k], head)
         codeword = [r - e for r, e in zip(received, error)]
     return DecodeResult(

@@ -82,10 +82,8 @@ def measure(code: GabCode, matrix: Matrix) -> MeasurementRecord:
         raise ValueError("matrix entries must lie in the code's base field")
     if matrix.shape != (tower.m, code.n):
         raise ValueError(f"expected a {tower.m}x{code.n} matrix, got {matrix.shape}")
-    vector = ext_inv(tower, matrix)
-    syndrome = code.parity_check.mul_vec(vector)
     y: list = []
-    for entry in syndrome:
+    for entry in code.syndrome(ext_inv(tower, matrix)):
         y.extend(entry.coords)
     return MeasurementRecord(tuple(y), code_to_descriptor(code))
 

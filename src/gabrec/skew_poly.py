@@ -120,9 +120,6 @@ class SkewPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __call__(self, g) -> FieldElement:
-        return self.evaluate(g)
-
     def evaluate(self, g) -> FieldElement:
         """Operator evaluation sum(a_i * theta^i(g)); K-linear in g."""
         g = self.tower.coerce(g)

@@ -1,5 +1,5 @@
 """Shared fixtures, matrix helpers, the references the library is checked
-against (linear solve, full-kernel decoder, per-factor msp), and
+against (full product, linear solve, full-kernel decoder, per-factor msp), and
 height-bounded random generators for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
@@ -23,6 +23,14 @@ from gabrec import (
     rref,
     theta_matrix,
 )
+
+
+def mul_vec(matrix, vec):
+    """Full product M v over every column; the reference for GabCode.syndrome."""
+    return [
+        sum((a * v for a, v in zip(row, vec, strict=True)), matrix.field.zero)
+        for row in matrix.entries
+    ]
 
 
 def solve(matrix, rhs):

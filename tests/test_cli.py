@@ -180,10 +180,23 @@ def test_approx_pi(tmp_path, capsys):
 def test_approx_complex_requires_tower(tmp_path, capsys):
     src = tmp_path / "c.txt"
     src.write_text("1 1\n1+2j\n")
-    assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
+    # no tower, or a cyclotomic one (whose base field is the rationals)
+    for tower in ([], ["--tower", "cyclotomic:5"]):
+        assert main(["approx", str(src), "--epsilon", "1e-6", *tower]) == USAGE_ERROR
+        assert "complex input needs --tower kummer:n" in capsys.readouterr().err
     assert main(["approx", str(src), "--epsilon", "1e-6", "--tower", "kummer:4"]) == OK
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1] == "(1,2)"
+
+
+def test_approx_real_input_with_cyclotomic_tower(tmp_path, capsys):
+    # --tower names the base field, and a cyclotomic tower's is the rationals
+    src = tmp_path / "m.txt"
+    src.write_text("2 2\n0.1 1.5\n3.14159 -0.5\n")
+    assert main(["approx", str(src), "--epsilon", "1e-3"]) == OK
+    plain = capsys.readouterr().out
+    assert main(["approx", str(src), "--epsilon", "1e-3", "--tower", "cyclotomic:5"]) == OK
+    assert capsys.readouterr().out == plain
 
 
 def test_approx_usage_errors(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_element, solve, zero_matrix
+from conftest import mul_vec, rand_element, solve, zero_matrix
 from gabrec import Matrix, QQ, format_matrix, parse_matrix, rank, right_kernel, rref
 
 
@@ -69,13 +69,13 @@ def test_right_kernel_annihilates(zeta5):
         kernel = right_kernel(m)
         assert kernel.rows + rank(m) == m.cols
         for row in kernel.entries:
-            assert all(not v for v in m.mul_vec(row))
+            assert all(not v for v in mul_vec(m, row))
     # over the extension field as well
     entries = [[rand_element(zeta5, rng, 3) for _ in range(4)] for _ in range(2)]
     m = Matrix(zeta5, entries, cols=4)
     kernel = right_kernel(m)
     for row in kernel.entries:
-        assert all(not v for v in m.mul_vec(row))
+        assert all(not v for v in mul_vec(m, row))
 
 
 def test_rank_transpose_invariant():
@@ -103,10 +103,10 @@ def test_solve_substitution():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = rand_qq_matrix(rng, rows, cols, height=5)
         target = [rng.randint(-5, 5) for _ in range(cols)]
-        b = m.mul_vec(target)
+        b = mul_vec(m, target)
         x = solve(m, b)
         assert x is not None
-        assert m.mul_vec(x) == b
+        assert mul_vec(m, x) == b
 
 
 def test_solve_syndrome_preimage(zeta5):
@@ -116,10 +116,10 @@ def test_solve_syndrome_preimage(zeta5):
     rng = random.Random(4)
     parity = build_code(zeta5, 4, 2).parity_check
     e = [rand_element(zeta5, rng, 3) for _ in range(4)]
-    target = parity.mul_vec(e)
+    target = mul_vec(parity, e)
     x = solve(parity, target)
     assert x is not None
-    assert parity.mul_vec(x) == target
+    assert mul_vec(parity, x) == target
 
 
 def test_solve_inconsistent():
@@ -135,8 +135,6 @@ def test_solve_dimension_mismatch():
 def test_matrix_shape_checks():
     with pytest.raises(ValueError):
         Matrix(QQ, [[1, 2], [3]])
-    with pytest.raises(ValueError):
-        qq_matrix([[1, 2]]).mul_vec([1, 2, 3])
 
 
 def test_matrix_text_roundtrip(zeta5):

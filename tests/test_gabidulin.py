@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from conftest import rand_element, rand_error, reference_wb_decode, solve
+from conftest import (
+    mul_vec,
+    rand_element,
+    rand_error,
+    rand_nonzero_element,
+    rand_vector,
+    reference_wb_decode,
+    solve,
+)
 from gabrec import (
     Matrix,
     SkewPoly,
@@ -58,7 +66,7 @@ def assert_systematic(code):
 def test_parity_check_shape(code5, zeta5, kummer4, monkeypatch):
     assert code5.parity_check.shape == (2, 4)
     for row in code5.generator.entries:  # G H^T = 0
-        assert not any(code5.parity_check.mul_vec(row))
+        assert not any(mul_vec(code5.parity_check, row))
     assert rank(code5.parity_check) == 2
     for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
         for k in range(1, tower.m + 1):
@@ -116,11 +124,50 @@ def test_encode_rejects_large_degree(code5):
         encode(code5, SkewPoly.monomial(code5.tower, code5.tower.one, code5.k))
 
 
+@pytest.fixture(scope="module")
+def map_codes(zeta5, kummer4):
+    """Every k at n = m on three towers, a short kummer:12 code and custom points."""
+    codes = []
+    for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
+        codes += [build_code(tower, tower.m, k) for k in range(1, tower.m + 1)]
+    kummer12 = make_tower("kummer", 12)
+    codes += [build_code(kummer12, 4, k) for k in range(1, 5)]
+    zeta = zeta5.basis[1]
+    codes += [build_code(zeta5, 3, k, [zeta, zeta**2, zeta5.one]) for k in range(1, 4)]
+    return codes
+
+
+def test_encode_is_evaluation_at_points(map_codes):
+    # the product with G agrees with evaluating the message at every point
+    rng = random.Random(14)
+    for code in map_codes:
+        tower = code.tower
+        messages = [SkewPoly(tower)]
+        for degree in range(code.k):
+            coeffs = [rand_element(tower, rng, 2) for _ in range(degree)]
+            messages.append(SkewPoly(tower, [*coeffs, rand_nonzero_element(tower, rng, 2)]))
+        for f in messages:
+            assert encode(code, f) == [f.evaluate(g) for g in code.points]
+
+
+def test_syndrome_is_product_with_parity_check(map_codes):
+    # the head-only syndrome equals the full product, zero head or not
+    rng = random.Random(15)
+    for code in map_codes:
+        tower, k = code.tower, code.k
+        tail = rand_vector(tower, rng, code.n - k, 2)
+        for head in ([tower.zero] * k, rand_vector(tower, rng, k, 2)):
+            word = head + tail
+            syndrome = code.syndrome(word)
+            assert len(syndrome) == code.n - k  # empty at k = n
+            assert syndrome == mul_vec(code.parity_check, word)
+
+
 def test_codewords_satisfy_parity_check(code5):
     rng = random.Random(0)
     for _ in range(10):
         c = encode(code5, rand_message(code5, rng))
-        assert all(not v for v in code5.parity_check.mul_vec(c))
+        assert all(not v for v in mul_vec(code5.parity_check, c))
 
 
 def test_decode_clean_word(code5):
@@ -136,7 +183,7 @@ def test_decode_clean_word(code5):
 def assert_valid_success(code, received, result):
     assert list(result.codeword) == encode(code, result.message)
     assert [c + e for c, e in zip(result.codeword, result.error)] == received
-    assert all(not v for v in code.parity_check.mul_vec(list(result.codeword)))
+    assert all(not v for v in mul_vec(code.parity_check, list(result.codeword)))
     assert result.message.degree < code.k
     assert rank_weight(code.tower, list(result.error), "B") <= code.radius
 
@@ -184,7 +231,7 @@ def test_decode_matches_full_kernel_reference(zeta5, kummer4):
                 c = encode(code, rand_message(code, rng, height=3))
                 e = rand_error(tower, rng, n, weight, height=2)
                 received = [ci + ei for ci, ei in zip(c, e)]
-                prefixed = [tower.zero] * k + code.parity_check.mul_vec(received)
+                prefixed = [tower.zero] * k + mul_vec(code.parity_check, received)
                 for word in (received, prefixed):
                     result = wb_decode(code, word)
                     assert result == reference_wb_decode(code, word)
@@ -211,7 +258,7 @@ def test_syndrome_decode_rank_one(code5, code_k4):
     for code in (code5, code_k4):
         for _ in range(25):
             e = rand_error(code.tower, rng, code.n, 1)
-            syndrome = code.parity_check.mul_vec(e)
+            syndrome = mul_vec(code.parity_check, e)
             recovered = syndrome_decode(code, syndrome)
             assert recovered == e
             assert recovered == reference_syndrome_decode(code, syndrome)
@@ -221,17 +268,20 @@ def test_syndrome_decode_beyond_radius(code5):
     rng = random.Random(5)
     for _ in range(15):
         e = rand_error(code5.tower, rng, code5.n, 2)
-        syndrome = code5.parity_check.mul_vec(e)
+        syndrome = mul_vec(code5.parity_check, e)
         recovered = syndrome_decode(code5, syndrome)
         assert recovered == reference_syndrome_decode(code5, syndrome)
         if recovered is not None:
-            assert code5.parity_check.mul_vec(recovered) == syndrome
+            assert mul_vec(code5.parity_check, recovered) == syndrome
             assert rank_weight(code5.tower, recovered, "B") <= code5.radius
 
 
 def test_syndrome_length_validation(code5):
     with pytest.raises(ValueError):
         syndrome_decode(code5, [code5.tower.zero] * 3)
+    for length in (3, 5):  # the syndrome map takes length-n words
+        with pytest.raises(ValueError):
+            code5.syndrome([code5.tower.zero] * length)
 
 
 def test_min_weight_evidence(code5, code_k4):
@@ -284,7 +334,7 @@ def test_kummer12_round_trip():
     assert result.message == f
     assert list(result.error) == errors[0]
     for e in errors:
-        assert syndrome_decode(code, code.parity_check.mul_vec(e)) == e
+        assert syndrome_decode(code, mul_vec(code.parity_check, e)) == e
 
 
 def test_decode_scale_instance():

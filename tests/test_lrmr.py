@@ -1,5 +1,6 @@
 """Measurement operator, exact recovery, and rational approximation."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from gabrec import (
     record_from_json,
     record_to_json,
     recover,
+    tower_from_spec,
 )
 from gabrec.lrmr import MeasurementRecord, rational_convergents
 
@@ -109,6 +111,37 @@ def test_recover_beyond_radius(code5):
         if result is not None:
             assert measure(code5, result).y == record.y
             assert rank(result) <= code5.radius
+
+
+PIPELINE_TOWERS = ["cyclotomic:5", "cyclotomic:7", "cyclotomic:11", "kummer:4"]
+
+
+@functools.cache
+def pipeline_code(spec, k):
+    tower = tower_from_spec(spec)
+    return build_code(tower, tower.m, k)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_pipeline_property(data):
+    # rank <= t recovers exactly; beyond t, None or a rank <= t matrix with
+    # the same measurement
+    spec = data.draw(st.sampled_from(PIPELINE_TOWERS))
+    m = pipeline_code(spec, 1).n
+    code = pipeline_code(spec, data.draw(st.integers(1, m)))
+    planted = data.draw(st.integers(0, m - code.k))
+    height = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    field = code.tower.scalar_field
+    matrix = random_low_rank(m, m, planted, height, rng=rng, field=field).matrix
+    record = measure(code, matrix)
+    result = recover(code, record)
+    if planted <= code.radius:
+        assert result == matrix
+    elif result is not None:
+        assert rank(result) <= code.radius
+        assert measure(code, result).y == record.y
 
 
 def test_recover_validates_record(code5, code_k4):
