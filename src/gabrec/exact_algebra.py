@@ -18,29 +18,37 @@ Every field here is one kind of object, a handle whose elements are
 coordinate vectors of length m over a scalar field: ``CyclotomicField(n)``
 (m = phi(n) over the rationals) and the two towers (L over K).  The
 cyclotomic tower is Q(zeta_p) itself, a ``CyclotomicField`` with theta; the
-Kummer tower's K is a ``CyclotomicField``.  Scalars of K are
-:class:`fractions.Fraction` for the cyclotomic tower and
-:class:`CyclotomicElement` for the Kummer tower.  All arithmetic is exact;
-no floating point is used anywhere.
+Kummer tower's K is a ``CyclotomicField``.  Two classes hold the elements:
 
-Coordinates are canonical ``Fraction`` tuples, but arithmetic in Q(zeta_n)
-runs on integers: a vector is written over the common denominator of its
-coordinates, and one reduction step folds degrees from n down by zeta^n = 1,
-reduces the rest by the monic integer cyclotomic polynomial and normalises
-each output coordinate once.  The product (numerators convolved as Python
-ints) and the one exponent map, zeta^e -> zeta^(a e + s), end in that step.
-The exponent map is the Galois action sigma_a (s = 0; theta of the
+* :class:`CyclotomicElement` for every Q(zeta_n): each ``CyclotomicField``,
+  so the cyclotomic tower's L and the Kummer tower's K;
+* :class:`FieldElement` for the Kummer tower's L, a tuple of m elements of K.
+
+Rationals are :class:`fractions.Fraction`.  All arithmetic is exact; no
+floating point is used anywhere.
+
+A ``CyclotomicElement`` is sum(nums[e] zeta^e) / den: m Python ints over one
+int, in canonical form, den > 0 and gcd(den, *nums) = 1, so equal elements
+have equal representations and zero is den 1 over zeros.  ``coords`` is a
+read-only ``Fraction`` view, for the coordinate matrices, the text format
+and the measurement records; no ``Fraction`` takes part in the arithmetic.
+Sums and differences add numerators over the shared denominator, or
+cross-multiply, and end in one gcd.  A product convolves the numerators,
+folds degrees from n down by zeta^n = 1, reduces the rest by the monic
+integer cyclotomic polynomial and ends in one gcd; a rational factor scales
+numerators and denominator.  One exponent map, zeta^e -> zeta^(u e + s) for
+u prime to n, gives the Galois action sigma_u (s = 0; theta of the
 cyclotomic tower is sigma_g), ``zeta(e)``, and the Kummer theta, which
-shifts the K-coordinate of alpha^i by i j.
+shifts the K-coordinate of alpha^i by i j.  It needs no gcd: sigma_u and the
+product with the unit zeta^s map the lattice Z[zeta] onto itself, and the
+power basis is a Z-basis of Z[zeta], so the numerators keep their content.
 
-Elements have one product and one inverse.  A product with a scalar of the
-base field scales the coordinates; a product of two elements is the
-handle's coordinate product.  The inverse comes from the norm: x^-1 is the
-product of the other Galois conjugates of x divided by N(x), the product of
-all of them.  In Q(zeta_n) the conjugates are sigma_a(x) for the units
-a != 1 modulo n, in L they are theta^j(x) for 0 < j < m.  Elements of K and
-of L stay two classes only so that the benchmark's tracer can count their
-operators apart.
+The inverse comes from the norm: x^-1 is the product of the other Galois
+conjugates of x divided by N(x), the product of all of them.  In Q(zeta_n)
+the conjugates are sigma_u(x) for the units u != 1 modulo n, taken on the
+integer numerators, and N is a positive integer; in L they are theta^j(x)
+for 0 < j < m.  Elements of K and of L stay two classes also so that the
+benchmark's tracer can count their operators apart.
 """
 
 from __future__ import annotations
@@ -153,21 +161,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational coordinate vectors on integer numerators
-
-_ZERO = Fraction(0)
-
-
-def _common_numerators(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
-    # (d, [c * d for c in coords]) for the least common denominator d
-    dens = [c.denominator for c in coords]
-    den = math.lcm(*dens)
-    if den == 1:
-        return 1, [c.numerator for c in coords]
-    return den, [c.numerator * (den // q) for c, q in zip(coords, dens)]
-
-
-# ---------------------------------------------------------------------------
 # text format shared by all scalar kinds
 #
 # Rationals print as "p/q" or "p"; coordinate vectors print as "(c0,c1,...)"
@@ -207,6 +200,15 @@ def scalar_to_text(value) -> str:
 # ---------------------------------------------------------------------------
 # the rational base field
 
+def _rational_parts(value) -> tuple[int, int]:
+    # (numerator, positive denominator) of an int or a Fraction
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
+
+
 class RationalField:
     """Field handle for exact rationals, usable wherever a field is expected."""
 
@@ -243,75 +245,25 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
-# elements held as coordinates over a field handle
+# elements
+#
+# The benchmark's tracer (perfbench/spans.py) counts K- and L-operators apart
+# by patching __mul__, __rmul__, inverse and theta in each element class's own
+# __dict__, so each class defines them in its body instead of inheriting.
 
 class _Element:
     """Operators shared by the elements of every coordinate field.
 
-    ``field`` is the handle the element belongs to: a :class:`CyclotomicField`
-    or a :class:`Tower`.  The product and the inverse are written once here;
-    each subclass binds them in its own body.
+    ``field`` is the handle the element belongs to, ``coords`` its
+    coordinates over the handle's scalar field; each subclass provides
+    ``_match`` (the other operand as an element of the same field, or
+    NotImplemented), the ring operators and ``inverse``.
     """
 
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords: tuple):
-        self.field = field
-        self.coords = coords
-
-    def _match(self, other):
-        try:
-            return self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return type(self)(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return type(self)(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+    __slots__ = ()
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __neg__(self):
-        return type(self)(self.field, tuple(-a for a in self.coords))
-
-    def _product(self, other):
-        if type(other) is type(self):
-            other = self.field.coerce(other)  # raises on elements of another field
-            return type(self)(self.field, self.field._mul_coords(self.coords, other.coords))
-        try:
-            scalar = self.field.scalar_field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return type(self)(self.field, tuple(scalar * c for c in self.coords))
-
-    def _inverse(self):
-        """Multiplicative inverse by the norm: x^-1 = c_1 ... c_r / N(x).
-
-        The c_i are the Galois conjugates of x other than x, from
-        ``field._conjugates``.  N(x) = x c_1 ... c_r is fixed by the Galois
-        group, so it lies in the base field; if it is zero, or not there, the
-        ring is not a field and ArithmeticError is raised.
-        """
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        field = self.field
-        product = functools.reduce(field._mul_coords, field._conjugates(self.coords))
-        norm = field._mul_coords(self.coords, product)
-        if not norm[0] or any(norm[1:]):
-            raise ArithmeticError("norm is zero or not in the base field")
-        scale = norm[0].inverse() if isinstance(norm[0], _Element) else 1 / norm[0]
-        return type(self)(field, tuple(scale * c for c in product))
 
     def __truediv__(self, other):
         other = self._match(other)
@@ -334,8 +286,206 @@ class _Element:
             exponent >>= 1
         return out
 
+    def __repr__(self) -> str:
+        return scalar_to_text(self)
+
+
+def _canonical(field: "CyclotomicField", den: int, nums: Sequence[int]) -> "CyclotomicElement":
+    # sum(nums[e] zeta^e) / den for den > 0, with the common factor divided out
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    return CyclotomicElement(field, den, tuple(nums))
+
+
+class CyclotomicElement(_Element):
+    """Element sum(nums[e] zeta^e) / den of a :class:`CyclotomicField`.
+
+    ``nums`` are m = phi(n) Python ints and ``den`` is a positive int with
+    gcd(den, *nums) = 1, so each element has one representation and zero is
+    den 1 over zero numerators.  ``coords`` is the ``Fraction`` view.
+    """
+
+    __slots__ = ("field", "den", "nums")
+
+    def __init__(self, field: "CyclotomicField", den: int, nums: tuple[int, ...]):
+        self.field = field
+        self.den = den
+        self.nums = nums
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        if den == 1:
+            return tuple(Fraction(x) for x in self.nums)
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    def _same_field(self, other: "CyclotomicElement") -> None:
+        if other.field is not self.field and other.field != self.field:
+            raise TypeError(f"cannot combine elements of {self.field!r} and {other.field!r}")
+
+    def _match(self, other):
+        if type(other) is CyclotomicElement:
+            self._same_field(other)
+            return other
+        try:
+            return self.field.embed_scalar(other)
+        except TypeError:
+            return NotImplemented
+
+    def __add__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.field, da, [a + b for a, b in zip(self.nums, other.nums)])
+        return _canonical(
+            self.field, da * db, [a * db + b * da for a, b in zip(self.nums, other.nums)]
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.field, da, [a - b for a, b in zip(self.nums, other.nums)])
+        return _canonical(
+            self.field, da * db, [a * db - b * da for a, b in zip(self.nums, other.nums)]
+        )
+
+    def __neg__(self):
+        return CyclotomicElement(self.field, self.den, tuple(-x for x in self.nums))
+
+    def __mul__(self, other):
+        field = self.field
+        if type(other) is CyclotomicElement:
+            self._same_field(other)
+            return _canonical(field, self.den * other.den, field._mul_nums(self.nums, other.nums))
+        try:
+            p, q = _rational_parts(other)
+        except TypeError:
+            return NotImplemented
+        return _canonical(field, self.den * q, [p * x for x in self.nums])
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "CyclotomicElement":
+        """x^-1 = den P / N by the norm, on integers.
+
+        With a = den x in Z[zeta], P is the product of the conjugates
+        sigma_u(a), u != 1, and N = a P = N(a) is an integer.  It is
+        positive: Q(zeta_n) has no real embedding, so the conjugates pair
+        up as complex conjugates and N is a product of squared moduli.
+        """
+        if not any(self.nums):
+            raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        product = functools.reduce(
+            field._mul_nums, (field._move(self, u).nums for u in field._other_units)
+        )
+        norm = field._mul_nums(self.nums, product)
+        if norm[0] <= 0 or any(norm[1:]):
+            raise ArithmeticError("norm is not a positive integer")
+        return _canonical(field, norm[0], [self.den * x for x in product])
+
+    def theta(self, j: int = 1) -> "CyclotomicElement":
+        """Image under theta^j = sigma_(g^j), for an element of a cyclotomic tower."""
+        field = self.field
+        return field._move(self, pow(field.primitive_root, j % field.m, field.conductor))
+
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
+        if type(other) is not CyclotomicElement:
+            try:
+                other = self.field.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.field == other.field and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        # a rational hashes as its Fraction, so that it hashes like the
+        # scalars it equals
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.den, self.nums))
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
+
+class FieldElement(_Element):
+    """Element of the Kummer tower's L: coordinates over K in the power basis of alpha."""
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: "KummerTower", coords: tuple):
+        self.field = field
+        self.coords = coords
+
+    def _match(self, other):
+        try:
+            return self.field.coerce(other)
+        except TypeError:
+            return NotImplemented
+
+    def __add__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return FieldElement(self.field, tuple(-a for a in self.coords))
+
+    def __mul__(self, other):
+        if type(other) is FieldElement:
+            other = self.field.coerce(other)  # raises on elements of another field
+            return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
+        try:
+            scalar = self.field.scalar_field.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return FieldElement(self.field, tuple(scalar * c for c in self.coords))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FieldElement":
+        """Multiplicative inverse by the norm: x^-1 = c_1 ... c_(m-1) / N(x).
+
+        The c_j = theta^j(x), 0 < j < m, are the conjugates of x over K other
+        than x.  N(x) = x c_1 ... c_(m-1) is fixed by theta, so it lies in K;
+        if it is zero, or not there, the ring is not a field and
+        ArithmeticError is raised.
+        """
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        conjugates = (field._theta_coords(self.coords, j) for j in range(1, field.m))
+        product = functools.reduce(field._mul_coords, conjugates)
+        norm = field._mul_coords(self.coords, product)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is zero or not in the base field")
+        scale = norm[0].inverse()
+        return FieldElement(field, tuple(scale * c for c in product))
+
+    def theta(self, j: int = 1) -> "FieldElement":
+        """Image under the j-th power of the generating automorphism."""
+        return FieldElement(self.field, self.field._theta_coords(self.coords, j))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FieldElement:
             try:
                 other = self.field.coerce(other)
             except (TypeError, ValueError):
@@ -343,42 +493,13 @@ class _Element:
         return self.field == other.field and self.coords == other.coords
 
     def __hash__(self) -> int:
-        # an element of the base field hashes as that scalar, down to the
-        # Fraction, so that it hashes like the scalars it equals
+        # an element of K hashes as that K-element, and so down to the Fraction
         if not any(self.coords[1:]):
             return hash(self.coords[0])
         return hash((self.field, self.coords))
 
     def __bool__(self) -> bool:
         return any(self.coords)
-
-    def __repr__(self) -> str:
-        return scalar_to_text(self)
-
-
-# Elements of K and of L stay two classes, with the same product and inverse,
-# because the benchmark's tracer (perfbench/spans.py) counts K- and
-# L-operators apart by patching __mul__, __rmul__ and inverse in each class's
-# own __dict__; so each class binds them in its body instead of inheriting.
-
-class CyclotomicElement(_Element):
-    """Element of a :class:`CyclotomicField` in reduced power-basis coordinates."""
-
-    __slots__ = ()
-    __mul__ = __rmul__ = _Element._product
-    inverse = _Element._inverse
-
-
-class FieldElement(_Element):
-    """Element of L held as exact coordinates with respect to the power basis."""
-
-    __slots__ = ()
-    __mul__ = __rmul__ = _Element._product
-    inverse = _Element._inverse
-
-    def theta(self, j: int = 1) -> "FieldElement":
-        """Image under the j-th power of the generating automorphism."""
-        return FieldElement(self.field, self.field._theta_coords(self.coords, j))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +510,6 @@ class _CoordinateField:
 
     Two handles are equal when their ``_key``, the class name and the
     construction parameters, is; ``_element`` is the class of their elements.
-    Subclasses provide ``_mul_coords`` and ``_conjugates``, the Galois
-    conjugates of an element other than itself, for the inverse.
     """
 
     _element: type
@@ -412,7 +531,7 @@ class _CoordinateField:
 
     @property
     def zero(self) -> _Element:
-        return self._element(self, (self.scalar_field.zero,) * self.m)
+        return self.embed_scalar(self.scalar_field.zero)
 
     @property
     def one(self) -> _Element:
@@ -422,7 +541,7 @@ class _CoordinateField:
     def basis(self) -> list[_Element]:
         zero, one = self.scalar_field.zero, self.scalar_field.one
         return [
-            self._element(self, (zero,) * i + (one,) + (zero,) * (self.m - 1 - i))
+            self.from_coords((zero,) * i + (one,) + (zero,) * (self.m - 1 - i))
             for i in range(self.m)
         ]
 
@@ -438,10 +557,15 @@ class _CoordinateField:
 
     def coerce(self, value) -> _Element:
         if isinstance(value, self._element):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError(f"element of {value.field!r}, not of {self!r}")
             return value
-        return self.embed_scalar(value)
+        try:
+            return self.embed_scalar(value)
+        except TypeError:
+            if isinstance(value, _Element):
+                raise ValueError(f"element of {value.field!r}, not of {self!r}") from None
+            raise
 
     def to_text(self, value) -> str:
         return scalar_to_text(self.coerce(value))
@@ -453,9 +577,9 @@ class _CoordinateField:
 class CyclotomicField(_CoordinateField):
     """The field generated over the rationals by a primitive n-th root of unity.
 
-    Elements are coordinate vectors of length m = phi(n) with respect to the
-    power basis (1, zeta, ..., zeta^(m-1)); products are reduced modulo the
-    n-th cyclotomic polynomial.
+    Elements are :class:`CyclotomicElement`: integer numerators over one
+    denominator with respect to the power basis (1, zeta, ..., zeta^(m-1)),
+    m = phi(n); products are reduced modulo the n-th cyclotomic polynomial.
     """
 
     _element = CyclotomicElement
@@ -469,58 +593,69 @@ class CyclotomicField(_CoordinateField):
         self._reduction_terms = [
             (i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:-1]) if c
         ]
-        # the units a != 1 modulo the conductor: sigma_a, zeta -> zeta^a, are
+        # the units u != 1 modulo the conductor: sigma_u, zeta -> zeta^u, are
         # the Galois automorphisms other than the identity
-        self._other_units = [a for a in range(2, conductor) if math.gcd(a, conductor) == 1]
+        self._other_units = [u for u in range(2, conductor) if math.gcd(u, conductor) == 1]
 
-    def element(self, coeffs: Iterable[Rational]) -> _Element:
+    def from_coords(self, coords: Iterable) -> CyclotomicElement:
+        # over the least common denominator of coordinates in lowest terms,
+        # which is canonical: a prime power exactly dividing it exactly
+        # divides one coordinate's denominator, whose numerator it leaves
+        # prime to it
+        parts = [_rational_parts(c) for c in coords]
+        if len(parts) != self.m:
+            raise ValueError(f"expected {self.m} coordinates, got {len(parts)}")
+        den = math.lcm(*(q for _, q in parts))
+        return CyclotomicElement(self, den, tuple(p * (den // q) for p, q in parts))
+
+    def embed_scalar(self, value) -> CyclotomicElement:
+        p, q = _rational_parts(value)
+        return CyclotomicElement(self, q, (p,) + (0,) * (self.m - 1))
+
+    def element(self, coeffs: Iterable[Rational]) -> CyclotomicElement:
         """sum(coeffs[e] zeta^e) for at most m int or Fraction coefficients."""
         coeffs = list(coeffs)
         return self.from_coords(coeffs + [0] * (self.m - len(coeffs)))
 
-    def zeta(self, power: int = 1) -> _Element:
+    def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta^power, reduced to the power basis."""
-        return self._element(self, self._move_coords((1,), 1, power))
+        return self._move(self.one, 1, power)
 
-    def _reduce_numerators(self, numerators: list[int], den: int) -> tuple[Fraction, ...]:
-        # Coordinates of sum(numerators[k] zeta^k) / den, for at least m and
-        # fewer than 2 * conductor numerators, reduced in place.  Degrees
-        # from the conductor up fold down by zeta^n = 1 (Phi_n divides
-        # x^n - 1); the rest reduce by the monic integer Phi_n.  Each
-        # coordinate is normalised once.
+    def _reduce(self, nums: list[int]) -> tuple[int, ...]:
+        # Power-basis numerators of sum(nums[k] zeta^k), for at least m and
+        # fewer than 2 * conductor numerators, reduced in place: degrees from
+        # the conductor up fold down by zeta^n = 1 (Phi_n divides x^n - 1),
+        # the rest reduce by the monic integer Phi_n.
         d, n = self.m, self.conductor
-        for k in range(n, len(numerators)):
-            numerators[k - n] += numerators[k]
-        for k in range(min(len(numerators), n) - 1, d - 1, -1):
-            c = numerators[k]
+        for k in range(n, len(nums)):
+            nums[k - n] += nums[k]
+        for k in range(min(len(nums), n) - 1, d - 1, -1):
+            c = nums[k]
             if c:
                 for i, coeff in self._reduction_terms:
-                    numerators[k - d + i] -= c * coeff
-        return tuple(Fraction(x, den) if x else _ZERO for x in numerators[:d])
+                    nums[k - d + i] -= c * coeff
+        return tuple(nums[:d])
 
-    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        # product of two reduced coordinate vectors, on integer numerators
-        da, na = _common_numerators(a)
-        db, nb = _common_numerators(b)
+    def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        # product of two numerator vectors: convolve, then reduce
         prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(na):
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(nb):
+                for j, y in enumerate(b):
                     prod[i + j] += x * y
-        return self._reduce_numerators(prod, da * db)
+        return self._reduce(prod)
 
-    def _move_coords(self, coords: Sequence[Rational], a: int, s: int = 0) -> tuple[Fraction, ...]:
-        # the coordinate of zeta^e moves to zeta^(a e + s), for a prime to
-        # the conductor: sigma_a (zeta -> zeta^a) followed by a product with
-        # zeta^s
-        den, nums = _common_numerators(coords)
-        out = [0] * self.conductor
-        for e, x in enumerate(nums):
-            out[(a * e + s) % self.conductor] = x
-        return self._reduce_numerators(out, den)
-
-    def _conjugates(self, coords: Sequence[Fraction]):
-        return (self._move_coords(coords, a) for a in self._other_units)
+    def _move(self, x: CyclotomicElement, u: int, s: int = 0) -> CyclotomicElement:
+        # The coordinate of zeta^e moves to zeta^(u e + s), for u prime to
+        # the conductor: sigma_u (zeta -> zeta^u) followed by a product with
+        # zeta^s.  Both map the lattice Z[zeta], whose Z-basis is the power
+        # basis, onto itself, so the numerators keep their content and den
+        # stays canonical with no gcd.
+        n = self.conductor
+        out = [0] * n
+        for e, v in enumerate(x.nums):
+            out[(u * e + s) % n] = v
+        return CyclotomicElement(self, x.den, self._reduce(out))
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +664,11 @@ class CyclotomicField(_CoordinateField):
 class Tower(_CoordinateField):
     """A cyclic extension L/K of degree m with generating automorphism theta.
 
-    Use :func:`make_tower`.  Subclasses provide ``kind``, ``_mul_coords``,
-    ``_theta_coords`` and ``generator()``.
+    Use :func:`make_tower`.  Subclasses provide ``kind`` and ``generator()``;
+    their elements provide ``theta``.
     """
 
     kind: str
-    _element = FieldElement
-
-    def _conjugates(self, coords: tuple):
-        # the conjugates of x over K other than x are theta^j(x), 0 < j < m
-        return (self._theta_coords(coords, j) for j in range(1, self.m))
 
     def _check_theta_order(self) -> None:
         # theta must have exact multiplicative order m, witnessed on a generator
@@ -562,18 +692,15 @@ class CyclotomicTower(Tower, CyclotomicField):
         self.primitive_root = smallest_primitive_root(conductor)
         self._check_theta_order()
 
-    def generator(self) -> FieldElement:
+    def generator(self) -> CyclotomicElement:
         return self.zeta()
-
-    def _theta_coords(self, coords: tuple, j: int) -> tuple:
-        # theta^j is sigma_(g^j)
-        return self._move_coords(coords, pow(self.primitive_root, j % self.m, self.conductor))
 
 
 class KummerTower(Tower):
     """L = K(alpha) with alpha^n = radicand over K = Q(zeta_n), 4 | n."""
 
     kind = "kummer"
+    _element = FieldElement
 
     def __init__(self, n: int, radicand: Rational = 2):
         if n <= 2:
@@ -630,10 +757,7 @@ class KummerTower(Tower):
         # theta^j: alpha^i -> zeta^(i j) alpha^i, so the exponents of the K
         # coordinate of alpha^i shift by i j
         field = self.scalar_field
-        return tuple(
-            CyclotomicElement(field, field._move_coords(c.coords, 1, i * j))
-            for i, c in enumerate(coords)
-        )
+        return tuple(field._move(c, 1, i * j) for i, c in enumerate(coords))
 
 
 def _is_square_in_cyclotomic(c: Fraction, n: int) -> bool:

@@ -35,9 +35,9 @@ WEIGHT_KINDS = ("A", "thetaL", "thetaK", "B")
 
 def ext(tower: Tower, vector: Sequence) -> Matrix:
     """Coordinate matrix of a vector over L: column j = coords of entry j."""
-    elements = [tower.coerce(x) for x in vector]
-    rows = [[e.coords[i] for e in elements] for i in range(tower.m)]
-    return Matrix(tower.scalar_field, rows, cols=len(elements))
+    columns = [tower.coerce(x).coords for x in vector]
+    rows = [[c[i] for c in columns] for i in range(tower.m)]
+    return Matrix(tower.scalar_field, rows, cols=len(columns))
 
 
 def ext_inv(tower: Tower, matrix: Matrix) -> list[FieldElement]:
@@ -63,8 +63,9 @@ def coordinate_expansion(tower: Tower, matrix: Matrix) -> Matrix:
     """Expand an L-matrix over K: each row becomes m rows of coordinates."""
     rows = []
     for row in matrix.entries:
+        columns = [entry.coords for entry in row]
         for i in range(tower.m):
-            rows.append([entry.coords[i] for entry in row])
+            rows.append([c[i] for c in columns])
     return Matrix(tower.scalar_field, rows, cols=matrix.cols)
 
 

@@ -486,10 +486,78 @@ def test_cyclotomic_field_product_matches_fraction_reference(conductor):
         for b in elements:
             assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
         for u in units:
-            assert field._move_coords(a.coords, u) == _ref_sigma(conductor, a.coords, u)
+            assert field._move(a, u).coords == _ref_sigma(conductor, a.coords, u)
         if a:
             columns = [_ref_mul(field, a.coords, b.coords) for b in basis]
             assert a.inverse().coords == _ref_inverse(QQ, columns)
+
+
+def _assert_canonical(x):
+    # integer numerators over one positive denominator with no common factor
+    assert type(x.den) is int and x.den > 0
+    assert len(x.nums) == x.field.m and all(type(v) is int for v in x.nums)
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+    assert x.coords == tuple(Fraction(v, x.den) for v in x.nums)
+    return x
+
+
+CANONICAL_HANDLES = [
+    *(lambda c=c: CyclotomicField(c) for c in (4, 8, 12, 20)),
+    *(lambda p=p: make_tower("cyclotomic", p) for p in (5, 7, 11, 13)),
+]
+
+
+@pytest.mark.parametrize(
+    "make",
+    CANONICAL_HANDLES,
+    ids=["field4", "field8", "field12", "field20", "cyc5", "cyc7", "cyc11", "cyc13"],
+)
+def test_cyclotomic_elements_are_canonical(make):
+    field = make()
+    n, m = field.conductor, field.m
+    rng = random.Random(n)
+    c = _assert_canonical
+    elements = [c(field.from_coords(v)) for v in _probe_coords(rng, m)]
+    elements.append(c(field.zero))
+    nonzero = [a for a in elements if a]
+    inverses = {}
+    for b in nonzero[:3] + nonzero[-2:]:
+        columns = [_ref_mul(field, b.coords, e.coords) for e in field.basis]
+        inverses[b] = _ref_inverse(QQ, columns)
+        assert c(b.inverse()).coords == inverses[b]
+    scalars = [Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(6), Fraction(5, 9)]
+    for a in elements:
+        assert c(-a).coords == tuple(-x for x in a.coords)
+        assert c(field.from_coords(a.coords)) == a
+        for q in scalars:
+            assert c(q * a).coords == c(a * q).coords == tuple(q * x for x in a.coords)
+            assert c(a * int(q)).coords == tuple(int(q) * x for x in a.coords)
+        for b in elements[:4] + elements[-2:]:
+            assert c(a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+            assert c(a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+            assert c(a * b).coords == _ref_mul(field, a.coords, b.coords)
+        for b, inv in inverses.items():
+            assert c(a / b).coords == _ref_mul(field, a.coords, inv)
+        if hasattr(field, "primitive_root"):
+            for j in (-m - 1, -1, 0, 1, m - 1, m, 2 * m + 3):
+                g_j = pow(field.primitive_root, j % m, n)
+                assert c(a.theta(j)).coords == _ref_sigma(n, a.coords, g_j)
+    for e in range(-2, 2 * n + 1):
+        assert c(field.zeta(e)).coords == _ref_zeta(n, e % n)
+    for q in scalars + [Fraction(-7, 10), 3]:
+        x = c(field.embed_scalar(q))
+        assert x.coords == (q,) + (0,) * (m - 1)
+        assert hash(x) == hash(q) and x == q
+    # equality is equality of coordinates, and equal elements hash alike
+    # however they were reached
+    for a in elements:
+        for b in elements:
+            assert (a == b) == (a.coords == b.coords)
+        for b in nonzero[:3]:
+            for same in (a + b - b, a * b / b, (a * b) * b.inverse()):
+                assert same == a and hash(same) == hash(a)
 
 
 def test_kummer_inverse_matches_solve(kummer4):

@@ -16,6 +16,8 @@ from gabrec import (
     approximate_complex,
     approximate_real,
     build_code,
+    code_from_descriptor,
+    code_to_descriptor,
     encode,
     ext,
     frobenius_error_sq,
@@ -100,6 +102,25 @@ def test_recover_kummer12_full_size():
     field = tower.scalar_field
     instance = random_low_rank(12, 12, 2, 10, rng=random.Random(0), field=field)
     assert recover(code, measure(code, instance.matrix)) == instance.matrix
+
+
+def test_recover_kummer8_radicand3():
+    # radicand 3 is no square in Q(zeta_8), so x^8 - 3 is irreducible over it;
+    # n = m = 8, k = 4, so t = 2
+    tower = make_tower("kummer", 8, 3)
+    code = build_code(tower, 8, 4)
+    assert code_from_descriptor(code_to_descriptor(code)) == code
+    assert code_from_descriptor(code_to_descriptor(code)).tower.radicand == 3
+    field = tower.scalar_field
+    rng = random.Random(0)
+    within = random_low_rank(8, 8, 2, 10, rng=rng, field=field)
+    assert recover(code, measure(code, within.matrix)) == within.matrix
+    beyond = random_low_rank(8, 8, 3, 10, rng=rng, field=field)
+    record = measure(code, beyond.matrix)
+    result = recover(code, record)
+    if result is not None:
+        assert rank(result) <= code.radius
+        assert measure(code, result).y == record.y
 
 
 def test_recover_beyond_radius(code5):
