@@ -22,32 +22,42 @@ Kummer tower's K is a ``CyclotomicField``.  Two classes hold the elements:
 
 * :class:`CyclotomicElement` for every Q(zeta_n): each ``CyclotomicField``,
   so the cyclotomic tower's L and the Kummer tower's K;
-* :class:`FieldElement` for the Kummer tower's L, a tuple of m elements of K.
+* :class:`FieldElement` for the Kummer tower's L.
 
 Rationals are :class:`fractions.Fraction`.  All arithmetic is exact; no
 floating point is used anywhere.
 
-A ``CyclotomicElement`` is sum(nums[e] zeta^e) / den: m Python ints over one
-int, in canonical form, den > 0 and gcd(den, *nums) = 1, so equal elements
-have equal representations and zero is den 1 over zeros.  ``coords`` is a
-read-only ``Fraction`` view, for the coordinate matrices, the text format
-and the measurement records; no ``Fraction`` takes part in the arithmetic.
-Sums and differences add numerators over the shared denominator, or
-cross-multiply, and end in one gcd.  A product convolves the numerators,
-folds degrees from n down by zeta^n = 1, reduces the rest by the monic
-integer cyclotomic polynomial and ends in one gcd; a rational factor scales
-numerators and denominator.  One exponent map, zeta^e -> zeta^(u e + s) for
-u prime to n, gives the Galois action sigma_u (s = 0; theta of the
-cyclotomic tower is sigma_g), ``zeta(e)``, and the Kummer theta, which
-shifts the K-coordinate of alpha^i by i j.  It needs no gcd: sigma_u and the
-product with the unit zeta^s map the lattice Z[zeta] onto itself, and the
-power basis is a Z-basis of Z[zeta], so the numerators keep their content.
+Both classes store an element the same way: Python-int numerators in a
+Q-basis over one int denominator, in canonical form, den > 0 and
+gcd(den, *nums) = 1, so equal elements have equal representations and zero
+is den 1 over zeros.  The Q-basis of Q(zeta_n) is zeta^e, 0 <= e < phi(n);
+that of the Kummer L is zeta^e alpha^i, at index i phi(n) + e, so its
+nums are n phi(n) ints.  ``coords`` is a read-only view over the scalar
+field (``Fraction``s, or one canonical K-element per power of alpha), for the
+coordinate matrices, the text format and the measurement records; it takes
+no part in the arithmetic.  Sums and differences add numerators over the
+shared denominator, or cross-multiply, and end in one gcd; this code is
+shared.  A product in Q(zeta_n) convolves the numerators, folds degrees
+from n down by zeta^n = 1, reduces the rest by the monic integer
+cyclotomic polynomial and ends in one gcd.  A product in the Kummer L is
+one 2-D convolution: a term of alpha^(i+j) with i + j >= n folds to
+alpha^(i+j-n) times p, the others are taken times q, for radicand p/q, and
+den gains the factor q; each row then reduces by Phi_n, and one gcd ends
+it.  A rational factor scales numerators and denominator, a K-factor each
+row.  One exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives
+the Galois action sigma_u (s = 0; theta of the cyclotomic tower is
+sigma_g), ``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.
+It needs no gcd: sigma_u and the product with the unit zeta^s map the
+lattice Z[zeta] onto itself, and the power basis is a Z-basis of Z[zeta],
+so the numerators keep their content.
 
-The inverse comes from the norm: x^-1 is the product of the other Galois
-conjugates of x divided by N(x), the product of all of them.  In Q(zeta_n)
-the conjugates are sigma_u(x) for the units u != 1 modulo n, taken on the
-integer numerators, and N is a positive integer; in L they are theta^j(x)
-for 0 < j < m.  Elements of K and of L stay two classes also so that the
+The inverse comes from the norm: x^-1 is the product P of the other Galois
+conjugates of x divided by N(x), the product of all of them, taken on the
+numerators of den x.  In a cyclotomic tower and in the Kummer L, theta
+generates the Galois group, so P is built by doubling in O(log m) products;
+in a plain Q(zeta_n) it is the product of sigma_u(x) for the units u != 1
+modulo n.  In Q(zeta_n), N is a positive integer; in L it lies in K and is
+inverted there once.  Elements of K and of L stay two classes so that the
 benchmark's tracer can count their operators apart.
 """
 
@@ -252,18 +262,63 @@ QQ = RationalField()
 # __dict__, so each class defines them in its body instead of inheriting.
 
 class _Element:
-    """Operators shared by the elements of every coordinate field.
+    """Integer numerators over one positive denominator, shared by both element classes.
 
-    ``field`` is the handle the element belongs to, ``coords`` its
-    coordinates over the handle's scalar field; each subclass provides
-    ``_match`` (the other operand as an element of the same field, or
-    NotImplemented), the ring operators and ``inverse``.
+    ``field`` is the handle the element belongs to, ``nums`` its numerators
+    in the handle's Q-basis and ``den`` a positive int with
+    gcd(den, *nums) = 1, so each element has one representation and zero is
+    den 1 over zero numerators.  ``coords`` is the view over the handle's
+    scalar field.  Sums, differences, negation, equality and truth work on
+    the numerators alone and are implemented here once; each subclass
+    provides ``_match`` (the other operand as an element of the same field,
+    or NotImplemented), the product, ``inverse``, ``theta`` and the hash.
     """
 
-    __slots__ = ()
+    __slots__ = ("field", "den", "nums")
+
+    def __init__(self, field, den: int, nums: tuple[int, ...]):
+        self.field = field
+        self.den = den
+        self.nums = nums
+
+    @classmethod
+    def _canonical(cls, field, den: int, nums: Sequence[int]):
+        # sum(nums[e] b_e) / den for den > 0, with the common factor divided out
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+        return cls(field, den, tuple(nums))
+
+    def __add__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return self._canonical(self.field, da, [a + b for a, b in zip(self.nums, other.nums)])
+        return self._canonical(
+            self.field, da * db, [a * db + b * da for a, b in zip(self.nums, other.nums)]
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return self._canonical(self.field, da, [a - b for a, b in zip(self.nums, other.nums)])
+        return self._canonical(
+            self.field, da * db, [a * db - b * da for a, b in zip(self.nums, other.nums)]
+        )
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __neg__(self):
+        return type(self)(self.field, self.den, tuple(-x for x in self.nums))
 
     def __truediv__(self, other):
         other = self._match(other)
@@ -286,33 +341,29 @@ class _Element:
             exponent >>= 1
         return out
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            try:
+                other = self.field.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.field == other.field and self.den == other.den and self.nums == other.nums
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
     def __repr__(self) -> str:
         return scalar_to_text(self)
-
-
-def _canonical(field: "CyclotomicField", den: int, nums: Sequence[int]) -> "CyclotomicElement":
-    # sum(nums[e] zeta^e) / den for den > 0, with the common factor divided out
-    g = math.gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = [x // g for x in nums]
-    return CyclotomicElement(field, den, tuple(nums))
 
 
 class CyclotomicElement(_Element):
     """Element sum(nums[e] zeta^e) / den of a :class:`CyclotomicField`.
 
-    ``nums`` are m = phi(n) Python ints and ``den`` is a positive int with
-    gcd(den, *nums) = 1, so each element has one representation and zero is
-    den 1 over zero numerators.  ``coords`` is the ``Fraction`` view.
+    ``nums`` are m = phi(n) Python ints in the power basis of zeta;
+    ``coords`` is the ``Fraction`` view.
     """
 
-    __slots__ = ("field", "den", "nums")
-
-    def __init__(self, field: "CyclotomicField", den: int, nums: tuple[int, ...]):
-        self.field = field
-        self.den = den
-        self.nums = nums
+    __slots__ = ()
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -334,77 +385,40 @@ class CyclotomicElement(_Element):
         except TypeError:
             return NotImplemented
 
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return _canonical(self.field, da, [a + b for a, b in zip(self.nums, other.nums)])
-        return _canonical(
-            self.field, da * db, [a * db + b * da for a, b in zip(self.nums, other.nums)]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return _canonical(self.field, da, [a - b for a, b in zip(self.nums, other.nums)])
-        return _canonical(
-            self.field, da * db, [a * db - b * da for a, b in zip(self.nums, other.nums)]
-        )
-
-    def __neg__(self):
-        return CyclotomicElement(self.field, self.den, tuple(-x for x in self.nums))
-
     def __mul__(self, other):
         field = self.field
         if type(other) is CyclotomicElement:
             self._same_field(other)
-            return _canonical(field, self.den * other.den, field._mul_nums(self.nums, other.nums))
+            product = field._mul_nums(self.nums, other.nums)
+            return self._canonical(field, self.den * other.den, product)
         try:
             p, q = _rational_parts(other)
         except TypeError:
             return NotImplemented
-        return _canonical(field, self.den * q, [p * x for x in self.nums])
+        return self._canonical(field, self.den * q, [p * x for x in self.nums])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicElement":
         """x^-1 = den P / N by the norm, on integers.
 
-        With a = den x in Z[zeta], P is the product of the conjugates
-        sigma_u(a), u != 1, and N = a P = N(a) is an integer.  It is
-        positive: Q(zeta_n) has no real embedding, so the conjugates pair
-        up as complex conjugates and N is a product of squared moduli.
+        With a = den x in Z[zeta], P is the product of the conjugates of a
+        other than a, and N = a P = N(a) is an integer.  It is positive:
+        Q(zeta_n) has no real embedding, so the conjugates pair up as
+        complex conjugates and N is a product of squared moduli.
         """
         if not any(self.nums):
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        product = functools.reduce(
-            field._mul_nums, (field._move(self, u).nums for u in field._other_units)
-        )
+        product = field._conjugate_product(self.nums)
         norm = field._mul_nums(self.nums, product)
         if norm[0] <= 0 or any(norm[1:]):
             raise ArithmeticError("norm is not a positive integer")
-        return _canonical(field, norm[0], [self.den * x for x in product])
+        return self._canonical(field, norm[0], [self.den * x for x in product])
 
     def theta(self, j: int = 1) -> "CyclotomicElement":
         """Image under theta^j = sigma_(g^j), for an element of a cyclotomic tower."""
-        field = self.field
-        return field._move(self, pow(field.primitive_root, j % field.m, field.conductor))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CyclotomicElement:
-            try:
-                other = self.field.coerce(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return self.field == other.field and self.den == other.den and self.nums == other.nums
+        return CyclotomicElement(self.field, self.den, self.field._theta_nums(self.nums, j))
 
     def __hash__(self) -> int:
         # a rational hashes as its Fraction, so that it hashes like the
@@ -413,18 +427,22 @@ class CyclotomicElement(_Element):
             return hash(Fraction(self.nums[0], self.den))
         return hash((self.field, self.den, self.nums))
 
-    def __bool__(self) -> bool:
-        return any(self.nums)
-
 
 class FieldElement(_Element):
-    """Element of the Kummer tower's L: coordinates over K in the power basis of alpha."""
+    """Element of the Kummer tower's L: sum(nums[i d + e] zeta^e alpha^i) / den.
 
-    __slots__ = ("field", "coords")
+    ``nums`` are n phi(n) Python ints, d = phi(n), one row of d per power of
+    alpha; ``coords`` is the view as m canonical elements of K, one per row.
+    """
 
-    def __init__(self, field: "KummerTower", coords: tuple):
-        self.field = field
-        self.coords = coords
+    __slots__ = ()
+
+    @property
+    def coords(self) -> tuple[CyclotomicElement, ...]:
+        base, den, nums = self.field.scalar_field, self.den, self.nums
+        d = base.m
+        rows = (nums[i : i + d] for i in range(0, len(nums), d))
+        return tuple(CyclotomicElement._canonical(base, den, row) for row in rows)
 
     def _match(self, other):
         try:
@@ -432,74 +450,60 @@ class FieldElement(_Element):
         except TypeError:
             return NotImplemented
 
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
-
     def __mul__(self, other):
+        field = self.field
         if type(other) is FieldElement:
-            other = self.field.coerce(other)  # raises on elements of another field
-            return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
+            other = field.coerce(other)  # raises on elements of another field
+            return self._canonical(
+                field, self.den * other.den * field._q, field._mul_nums(self.nums, other.nums)
+            )
+        if isinstance(other, (int, Fraction)):
+            p, q = _rational_parts(other)
+            return self._canonical(field, self.den * q, [p * x for x in self.nums])
         try:
-            scalar = self.field.scalar_field.coerce(other)
+            scalar = field.scalar_field.coerce(other)
         except TypeError:
             return NotImplemented
-        return FieldElement(self.field, tuple(scalar * c for c in self.coords))
+        product = field._scale_rows(self.nums, scalar.nums)
+        return self._canonical(field, self.den * scalar.den, product)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by the norm: x^-1 = c_1 ... c_(m-1) / N(x).
+        """x^-1 = den P / N by the norm over K, on numerators.
 
-        The c_j = theta^j(x), 0 < j < m, are the conjugates of x over K other
-        than x.  N(x) = x c_1 ... c_(m-1) is fixed by theta, so it lies in K;
-        if it is zero, or not there, the ring is not a field and
-        ArithmeticError is raised.
+        With a = den x, P is the product of the conjugates theta^j(a),
+        0 < j < m, and N = a P = N(a) is fixed by theta, so it lies in K; if
+        it is zero, or not there, the ring is not a field and
+        ArithmeticError is raised.  N's one K-inverse scales the rows of P.
         """
-        if not self:
+        if not any(self.nums):
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        conjugates = (field._theta_coords(self.coords, j) for j in range(1, field.m))
-        product = functools.reduce(field._mul_coords, conjugates)
-        norm = field._mul_coords(self.coords, product)
-        if not norm[0] or any(norm[1:]):
+        d = field.scalar_field.m
+        product = field._conjugate_product(self.nums)
+        # the numerator product is q a P, q the radicand's denominator
+        norm = field._mul_nums(self.nums, product)
+        if not any(norm[:d]) or any(norm[d:]):
             raise ArithmeticError("norm is zero or not in the base field")
-        scale = norm[0].inverse()
-        return FieldElement(field, tuple(scale * c for c in product))
+        # N's numerators need no gcd here: inverse() returns canonical form
+        scale = CyclotomicElement(field.scalar_field, 1, norm[:d]).inverse()
+        return self._canonical(
+            field,
+            scale.den,
+            [self.den * field._q * x for x in field._scale_rows(product, scale.nums)],
+        )
 
     def theta(self, j: int = 1) -> "FieldElement":
         """Image under the j-th power of the generating automorphism."""
-        return FieldElement(self.field, self.field._theta_coords(self.coords, j))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not FieldElement:
-            try:
-                other = self.field.coerce(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return FieldElement(self.field, self.den, self.field._theta_nums(self.nums, j))
 
     def __hash__(self) -> int:
         # an element of K hashes as that K-element, and so down to the Fraction
-        if not any(self.coords[1:]):
-            return hash(self.coords[0])
-        return hash((self.field, self.coords))
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
+        base = self.field.scalar_field
+        if not any(self.nums[base.m :]):
+            return hash(CyclotomicElement(base, self.den, self.nums[: base.m]))
+        return hash((self.field, self.den, self.nums))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +514,7 @@ class _CoordinateField:
 
     Two handles are equal when their ``_key``, the class name and the
     construction parameters, is; ``_element`` is the class of their elements.
+    Each subclass builds its elements in ``from_coords`` and ``embed_scalar``.
     """
 
     _element: type
@@ -544,16 +549,6 @@ class _CoordinateField:
             self.from_coords((zero,) * i + (one,) + (zero,) * (self.m - 1 - i))
             for i in range(self.m)
         ]
-
-    def from_coords(self, coords: Iterable) -> _Element:
-        coords = tuple(self.scalar_field.coerce(c) for c in coords)
-        if len(coords) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
-        return self._element(self, coords)
-
-    def embed_scalar(self, value) -> _Element:
-        zero = self.scalar_field.zero
-        return self._element(self, (self.scalar_field.coerce(value),) + (zero,) * (self.m - 1))
 
     def coerce(self, value) -> _Element:
         if isinstance(value, self._element):
@@ -596,6 +591,11 @@ class CyclotomicField(_CoordinateField):
         # the units u != 1 modulo the conductor: sigma_u, zeta -> zeta^u, are
         # the Galois automorphisms other than the identity
         self._other_units = [u for u in range(2, conductor) if math.gcd(u, conductor) == 1]
+        # zeta^k, 0 <= k < n, as its nonzero power-basis terms (t, c)
+        self._powers = [
+            [(t, c) for t, c in enumerate(self._reduce([0] * k + [1] + [0] * self.m)) if c]
+            for k in range(conductor)
+        ]
 
     def from_coords(self, coords: Iterable) -> CyclotomicElement:
         # over the least common denominator of coordinates in lowest terms,
@@ -619,7 +619,7 @@ class CyclotomicField(_CoordinateField):
 
     def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta^power, reduced to the power basis."""
-        return self._move(self.one, 1, power)
+        return CyclotomicElement(self, 1, self._move(self.one.nums, 1, power))
 
     def _reduce(self, nums: list[int]) -> tuple[int, ...]:
         # Power-basis numerators of sum(nums[k] zeta^k), for at least m and
@@ -645,17 +645,23 @@ class CyclotomicField(_CoordinateField):
                     prod[i + j] += x * y
         return self._reduce(prod)
 
-    def _move(self, x: CyclotomicElement, u: int, s: int = 0) -> CyclotomicElement:
-        # The coordinate of zeta^e moves to zeta^(u e + s), for u prime to
+    def _move(self, nums: Sequence[int], u: int, s: int = 0) -> tuple[int, ...]:
+        # The numerator of zeta^e moves to zeta^(u e + s), for u prime to
         # the conductor: sigma_u (zeta -> zeta^u) followed by a product with
         # zeta^s.  Both map the lattice Z[zeta], whose Z-basis is the power
         # basis, onto itself, so the numerators keep their content and den
         # stays canonical with no gcd.
-        n = self.conductor
-        out = [0] * n
-        for e, v in enumerate(x.nums):
-            out[(u * e + s) % n] = v
-        return CyclotomicElement(self, x.den, self._reduce(out))
+        n, powers = self.conductor, self._powers
+        out = [0] * self.m
+        for e, v in enumerate(nums):
+            if v:
+                for t, c in powers[(u * e + s) % n]:
+                    out[t] += c * v
+        return tuple(out)
+
+    def _conjugate_product(self, nums: Sequence[int]) -> tuple[int, ...]:
+        # product of sigma_u(a), u != 1, for numerators a
+        return functools.reduce(self._mul_nums, (self._move(nums, u) for u in self._other_units))
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +675,20 @@ class Tower(_CoordinateField):
     """
 
     kind: str
+
+    def _conjugate_product(self, nums: Sequence[int]) -> tuple[int, ...]:
+        # Numerators of theta(a) ... theta^(m-1)(a), up to the positive
+        # factor that the handle's ``_mul_nums`` leaves, for numerators a.
+        # theta generates the Galois group, so with y_k = a theta(a) ...
+        # theta^(k-1)(a), y_2k = y_k theta^k(y_k) and y_(k+1) = y_k theta^k(a)
+        # reach y_(m-1) in O(log m) products, and the product is theta(y_(m-1)).
+        mul, theta = self._mul_nums, self._theta_nums
+        y, k = nums, 1
+        for bit in bin(self.m - 1)[3:]:
+            y, k = mul(y, theta(y, k)), 2 * k
+            if bit == "1":
+                y, k = mul(y, theta(nums, k)), k + 1
+        return theta(y, 1)
 
     def _check_theta_order(self) -> None:
         # theta must have exact multiplicative order m, witnessed on a generator
@@ -695,6 +715,10 @@ class CyclotomicTower(Tower, CyclotomicField):
     def generator(self) -> CyclotomicElement:
         return self.zeta()
 
+    def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
+        # theta^j = sigma_(g^j)
+        return self._move(nums, pow(self.primitive_root, j % self.m, self.conductor))
+
 
 class KummerTower(Tower):
     """L = K(alpha) with alpha^n = radicand over K = Q(zeta_n), 4 | n."""
@@ -712,6 +736,11 @@ class KummerTower(Tower):
         super().__init__(CyclotomicField(n), n, n, radicand)
         self.n = n
         self.radicand = radicand
+        self._p, self._q = radicand.numerator, radicand.denominator
+        # offset of the numerator of zeta^e alpha^i, index i d + e, in the
+        # product's buffer of rows of 2 d - 1
+        d = self.scalar_field.m
+        self._offsets = [i * (2 * d - 1) + e for i in range(n) for e in range(d)]
         self._check_theta_order()
 
     @staticmethod
@@ -737,27 +766,71 @@ class KummerTower(Tower):
         """i as an element of K (K contains a primitive 4th root of unity)."""
         return self.scalar_field.zeta(self.n // 4)
 
-    def _mul_coords(self, a: tuple, b: tuple) -> tuple:
-        n = self.n
-        out = [self.scalar_field.zero] * n
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                term = x * y
-                if i + j >= n:
-                    out[i + j - n] = out[i + j - n] + term * self.radicand
-                else:
-                    out[i + j] = out[i + j] + term
+    def from_coords(self, coords: Iterable) -> FieldElement:
+        # over the least common denominator of the canonical K-coordinates,
+        # which is canonical by the argument in CyclotomicField.from_coords
+        coords = [self.scalar_field.coerce(c) for c in coords]
+        if len(coords) != self.m:
+            raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
+        den = math.lcm(*(c.den for c in coords))
+        return FieldElement(self, den, tuple(x * (den // c.den) for c in coords for x in c.nums))
+
+    def embed_scalar(self, value) -> FieldElement:
+        x = self.scalar_field.coerce(value)
+        return FieldElement(self, x.den, x.nums + (0,) * (self.scalar_field.m * (self.m - 1)))
+
+    def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        # q a b for numerator rows a, b, where radicand = p / q: one 2-D
+        # convolution into rows of 2 phi(n) - 1 that skips zero numerators,
+        # then rows n and up fold down to alpha^(i+j-n) times p, the rows
+        # below n are taken times q, and each row reduces by the monic Phi_n.
+        # As 4 | n, 2 phi(n) - 1 < n, so no row needs the fold zeta^n = 1.
+        d, p, q, offsets = self.scalar_field.m, self._p, self._q, self._offsets
+        w = 2 * d - 1
+        low = self.n * w
+        buf = [0] * (2 * low - w)
+        terms = [(offsets[k], y) for k, y in enumerate(b) if y]
+        for k, x in enumerate(a):
+            if x:
+                at = offsets[k]
+                for off, y in terms:
+                    buf[at + off] += x * y
+        if q != 1:
+            buf[:low] = [q * v for v in buf[:low]]
+        for k in range(low, len(buf)):
+            v = buf[k]
+            if v:
+                buf[k - low] += p * v
+        reduction = self.scalar_field._reduction_terms
+        out = []
+        for r in range(0, low, w):
+            for k in range(r + w - 1, r + d - 1, -1):
+                c = buf[k]
+                if c:
+                    for i, coeff in reduction:
+                        buf[k - d + i] -= c * coeff
+            out += buf[r : r + d]
         return tuple(out)
 
-    def _theta_coords(self, coords: tuple, j: int) -> tuple:
-        # theta^j: alpha^i -> zeta^(i j) alpha^i, so the exponents of the K
-        # coordinate of alpha^i shift by i j
-        field = self.scalar_field
-        return tuple(field._move(c, 1, i * j) for i, c in enumerate(coords))
+    def _scale_rows(self, nums: Sequence[int], y: Sequence[int]) -> list[int]:
+        # each row of numerators times the K-numerators y
+        base = self.scalar_field
+        d = base.m
+        out = []
+        for r in range(0, len(nums), d):
+            row = nums[r : r + d]
+            out.extend(base._mul_nums(row, y) if any(row) else row)
+        return out
+
+    def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
+        # theta^j: alpha^i -> zeta^(i j) alpha^i, so row i shifts by i j
+        base = self.scalar_field
+        n, d = self.n, base.m
+        out = []
+        for i in range(n):
+            row = nums[i * d : (i + 1) * d]
+            out += base._move(row, 1, i * j) if i * j % n else row
+        return tuple(out)
 
 
 def _is_square_in_cyclotomic(c: Fraction, n: int) -> bool:

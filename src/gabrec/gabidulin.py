@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_algebra import FieldElement, Tower, make_tower
+from .exact_algebra import Tower, _Element, make_tower
 from .exact_linalg import Matrix, right_kernel, rref
 from .rank_metric import ext, rank_weight, theta_matrix
 from .skew_poly import SkewPoly, left_divide, msp
@@ -60,7 +60,7 @@ class GabCode:
     tower: Tower
     n: int
     k: int
-    points: tuple[FieldElement, ...]
+    points: tuple[_Element, ...]
     generator: Matrix  # k x n over L, entry (i, j) = theta^i(g_j)
     parity_check: Matrix  # (n-k) x n over L, rows span the kernel of G
 
@@ -73,7 +73,7 @@ class GabCode:
     def design_distance(self) -> int:
         return self.n - self.k + 1
 
-    def syndrome(self, word: Sequence) -> list[FieldElement]:
+    def syndrome(self, word: Sequence) -> list[_Element]:
         """Parity-check image H word; H is the identity on its last n-k columns."""
         word = _coerce_word(self, word)
         head, tail = word[: self.k], word[self.k :]
@@ -88,8 +88,8 @@ class GabCode:
 @dataclass(frozen=True)
 class DecodeResult:
     success: bool
-    codeword: tuple[FieldElement, ...] | None = None
-    error: tuple[FieldElement, ...] | None = None
+    codeword: tuple[_Element, ...] | None = None
+    error: tuple[_Element, ...] | None = None
     message: SkewPoly | None = None
 
 
@@ -117,7 +117,7 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
     return GabCode(tower, n, k, tuple(points), generator, parity_check)
 
 
-def encode(code: GabCode, message: SkewPoly) -> list[FieldElement]:
+def encode(code: GabCode, message: SkewPoly) -> list[_Element]:
     """Evaluations of the message at the code's points: sum_i f_i G[i]."""
     if message.tower != code.tower:
         raise ValueError("message polynomial belongs to a different tower")
@@ -129,7 +129,7 @@ def encode(code: GabCode, message: SkewPoly) -> list[FieldElement]:
     ]
 
 
-def _coerce_word(code: GabCode, word: Sequence) -> list[FieldElement]:
+def _coerce_word(code: GabCode, word: Sequence) -> list[_Element]:
     word = [code.tower.coerce(x) for x in word]
     if len(word) != code.n:
         raise ValueError(f"expected a length-{code.n} word, got {len(word)}")
@@ -185,7 +185,7 @@ def _interpolate(tower: Tower, points: Sequence, values: Sequence) -> SkewPoly:
     return poly
 
 
-def syndrome_decode(code: GabCode, syndrome: Sequence) -> list[FieldElement] | None:
+def syndrome_decode(code: GabCode, syndrome: Sequence) -> list[_Element] | None:
     """Error vector of rank weight <= t whose parity-check image is the syndrome.
 
     Any preimage of the syndrome works as decoder input because preimages

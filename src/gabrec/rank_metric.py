@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact_algebra import FieldElement, Tower
+from .exact_algebra import Tower, _Element
 from .exact_linalg import Matrix, rref
 from .skew_poly import msp
 
@@ -40,7 +40,7 @@ def ext(tower: Tower, vector: Sequence) -> Matrix:
     return Matrix(tower.scalar_field, rows, cols=len(columns))
 
 
-def ext_inv(tower: Tower, matrix: Matrix) -> list[FieldElement]:
+def ext_inv(tower: Tower, matrix: Matrix) -> list[_Element]:
     """Vector over L from an m-by-n coordinate matrix (inverse of :func:`ext`)."""
     if matrix.rows != tower.m:
         raise ValueError(f"coordinate matrix needs {tower.m} rows, has {matrix.rows}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact_algebra import FieldElement, Tower, _split_tuple
+from .exact_algebra import Tower, _Element, _split_tuple
 
 __all__ = ["SkewPoly", "left_divide", "msp", "format_poly", "parse_poly"]
 
@@ -51,7 +51,7 @@ class SkewPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.tower.one
 
-    def coeff(self, i: int) -> FieldElement:
+    def coeff(self, i: int) -> _Element:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.tower.zero
 
     def _match(self, other) -> "SkewPoly":
@@ -120,7 +120,7 @@ class SkewPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def evaluate(self, g) -> FieldElement:
+    def evaluate(self, g) -> _Element:
         """Operator evaluation sum(a_i * theta^i(g)); K-linear in g."""
         g = self.tower.coerce(g)
         acc = self.tower.zero

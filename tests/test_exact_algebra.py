@@ -1,6 +1,8 @@
 """Tower construction, exact field arithmetic, and the theta automorphism."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -486,7 +488,8 @@ def test_cyclotomic_field_product_matches_fraction_reference(conductor):
         for b in elements:
             assert (a * b).coords == _ref_mul(field, a.coords, b.coords)
         for u in units:
-            assert field._move(a, u).coords == _ref_sigma(conductor, a.coords, u)
+            moved = field._move(a.nums, u)
+            assert tuple(Fraction(x, a.den) for x in moved) == _ref_sigma(conductor, a.coords, u)
         if a:
             columns = [_ref_mul(field, a.coords, b.coords) for b in basis]
             assert a.inverse().coords == _ref_inverse(QQ, columns)
@@ -560,21 +563,165 @@ def test_cyclotomic_elements_are_canonical(make):
                 assert same == a and hash(same) == hash(a)
 
 
+def _times_alpha_power(tower, a, j):
+    # a * alpha^j for K-coordinates a: a cyclic shift, with the wrapped part
+    # times the radicand
+    n, c = tower.n, tower.radicand
+    return [a[(i - j) % n] * (c if i < j else 1) for i in range(n)]
+
+
+def _ref_kummer_mul(tower, a, b):
+    # the nested product over K: sum of b_j times a * alpha^j
+    out = [tower.scalar_field.zero] * tower.n
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(_times_alpha_power(tower, a, j)):
+                out[i] = out[i] + x * y
+    return tuple(out)
+
+
+def _ref_tower_inverse(tower, a):
+    # coordinates of a^-1 by an m-by-m solve over K
+    if tower.kind == "kummer":
+        columns = [_times_alpha_power(tower, a.coords, j) for j in range(tower.n)]
+        return _ref_inverse(tower.scalar_field, columns)
+    columns = [_ref_mul(tower, a.coords, b.coords) for b in tower.basis]
+    return _ref_inverse(QQ, columns)
+
+
 def test_kummer_inverse_matches_solve(kummer4):
     rng = random.Random(8)
-    field, n, c = kummer4.scalar_field, kummer4.n, kummer4.radicand
-
-    def times_alpha_power(a, j):
-        # a * alpha^j: a cyclic shift, with the wrapped part times the radicand
-        return [
-            field.element([x * (c if i < j else 1) for x in a[(i - j) % n].coords])
-            for i in range(n)
-        ]
-
-    for coords in _probe_coords(rng, n * field.m):
+    field = kummer4.scalar_field
+    for coords in _probe_coords(rng, kummer4.n * field.m):
         a = kummer4.from_coords(
             [field.element(coords[i : i + field.m]) for i in range(0, len(coords), field.m)]
         )
         if a:
-            columns = [times_alpha_power(a.coords, j) for j in range(n)]
-            assert a.inverse().coords == _ref_inverse(field, columns)
+            assert a.inverse().coords == _ref_tower_inverse(kummer4, a)
+
+
+def _kummer_probes(tower, rng):
+    """Elements with non-integer K-coordinates and zero rows, then a K-element,
+    a single power of alpha, and zero."""
+    field = tower.scalar_field
+
+    def coordinate():
+        return field.from_coords(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(field.m)]
+        )
+
+    dense = [
+        tower.from_coords(
+            [coordinate() if rng.random() < 0.7 else field.zero for _ in range(tower.m)]
+        )
+        for _ in range(3)
+    ]
+    k_element = tower.embed_scalar(coordinate())
+    single = tower.from_coords(
+        [coordinate() if i == tower.m - 1 else field.zero for i in range(tower.m)]
+    )
+    return dense + [k_element, single, tower.zero]
+
+
+def _assert_flat_canonical(x):
+    # n phi(n) integer numerators over one positive denominator with no
+    # common factor; coords are the rows as canonical K-elements
+    field = x.field.scalar_field
+    d = field.m
+    assert type(x.den) is int and x.den > 0
+    assert len(x.nums) == x.field.m * d and all(type(v) is int for v in x.nums)
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+    rows = [x.nums[i : i + d] for i in range(0, len(x.nums), d)]
+    assert x.coords == tuple(field.from_coords([Fraction(v, x.den) for v in row]) for row in rows)
+    for c in x.coords:
+        _assert_canonical(c)
+    return x
+
+
+KUMMER_CASES = [
+    (4, 2),
+    (4, Fraction(3, 2)),
+    (4, Fraction(-5, 3)),
+    (8, 3),
+    (12, 2),
+    (12, Fraction(2, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, radicand", KUMMER_CASES, ids=["k4", "k4-3/2", "k4-(-5/3)", "k8-3", "k12", "k12-2/5"]
+)
+def test_kummer_elements_are_flat_and_canonical(n, radicand):
+    tower = make_tower("kummer", n, radicand)
+    field, m = tower.scalar_field, tower.m
+    rng = random.Random(n)
+    c = _assert_flat_canonical
+    elements = [c(a) for a in _kummer_probes(tower, rng)]
+    nonzero = [a for a in elements if a]
+    inverses = {}
+    for b in nonzero[:2] + nonzero[-2:]:
+        inverses[b] = _ref_tower_inverse(tower, b)
+        assert c(b.inverse()).coords == inverses[b]
+    k_scalar = field.from_coords(
+        [Fraction(rng.randint(-9, 9), rng.randint(2, 6)) for _ in range(field.m)]
+    )
+    scalars = [field.zero, field.one, k_scalar, Fraction(0), Fraction(-3, 4), 6]
+    for a in elements:
+        assert c(-a).coords == tuple(-x for x in a.coords)
+        assert c(tower.from_coords(a.coords)) == a
+        for s in scalars:
+            assert c(s * a).coords == c(a * s).coords == tuple(x * s for x in a.coords)
+        for b in elements[:3] + elements[-3:]:
+            assert c(a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+            assert c(a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+            assert c(a * b).coords == _ref_kummer_mul(tower, a.coords, b.coords)
+        for b, inv in inverses.items():
+            assert c(a / b).coords == _ref_kummer_mul(tower, a.coords, inv)
+        for j in (-m - 1, -1, 0, 1, m - 1, m, 2 * m + 3):
+            image = c(a.theta(j))
+            assert image.coords == tuple(x * field.zeta(i * j) for i, x in enumerate(a.coords))
+    # an embedded K-element or rational is itself: equal, and hashed alike
+    for s in scalars + [Fraction(7, 10)]:
+        x = c(tower.embed_scalar(s))
+        assert x.coords == (field.coerce(s),) + (field.zero,) * (m - 1)
+        assert x == s and hash(x) == hash(s)
+    # equality is equality of coordinates, and equal elements hash alike
+    # however they were reached
+    for a in elements:
+        for b in elements:
+            assert (a == b) == (a.coords == b.coords)
+        for b in nonzero[:2]:
+            for same in (a + b - b, a * b / b, (a * b) * b.inverse()):
+                assert same == a and hash(same) == hash(a)
+
+
+INVERSE_TOWERS = [
+    *(("cyclotomic", p) for p in (5, 7, 11, 13, 17)),
+    ("kummer", 4, 2),
+    ("kummer", 8, 3),
+    ("kummer", 12, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", INVERSE_TOWERS, ids=["cyc5", "cyc7", "cyc11", "cyc13", "cyc17", "k4", "k8-3", "k12"]
+)
+def test_inverse_by_doubling_matches_sequential_product(spec):
+    # m - 1 = 4, 6, 10, 12, 16, 3, 7, 11 walk different bit patterns of the
+    # doubling chain
+    tower = make_tower(*spec)
+    rng = random.Random(tower.m)
+    probes = [_random_element(tower, rng) for _ in range(2)] + [tower.basis[1] + tower.one]
+    for a in probes:
+        sequential = functools.reduce(operator.mul, (a.theta(j) for j in range(1, tower.m)))
+        doubled = type(a)._canonical(tower, 1, tower._conjugate_product(a.nums))
+        # the chain works on den a and may carry a positive rational factor
+        ratio = doubled / sequential
+        while not isinstance(ratio, Fraction):
+            assert not any(ratio.coords[1:])
+            ratio = ratio.coords[0]
+        assert ratio > 0
+        assert a.inverse() == sequential / (a * sequential)
+        assert a.inverse().coords == _ref_tower_inverse(tower, a)

@@ -123,6 +123,27 @@ def test_recover_kummer8_radicand3():
         assert measure(code, result).y == record.y
 
 
+def test_recover_fractional_radicand():
+    # alpha^4 = 3/2 puts the radicand's denominator into every wrapped product
+    # term; n = m = 4, k = 2, so t = 1
+    tower = make_tower("kummer", 4, Fraction(3, 2))
+    code = build_code(tower, 4, 2)
+    descriptor = code_to_descriptor(code)
+    assert descriptor["radicand"] == "3/2"
+    assert code_from_descriptor(descriptor) == code
+    assert code_from_descriptor(descriptor).tower.radicand == Fraction(3, 2)
+    field = tower.scalar_field
+    rng = random.Random(1)
+    within = random_low_rank(4, 4, 1, 10, rng=rng, field=field)
+    assert recover(code, measure(code, within.matrix)) == within.matrix
+    beyond = random_low_rank(4, 4, 2, 10, rng=rng, field=field)
+    record = measure(code, beyond.matrix)
+    result = recover(code, record)
+    if result is not None:
+        assert rank(result) <= code.radius
+        assert measure(code, result).y == record.y
+
+
 def test_recover_beyond_radius(code5):
     rng = random.Random(3)
     for _ in range(15):
