@@ -534,11 +534,12 @@ class _CoordinateField:
         name, *params = self._key
         return f"{name}({', '.join(map(str, params))})"
 
-    @property
+    # elements are immutable, so each handle builds its zero and one once
+    @functools.cached_property
     def zero(self) -> _Element:
         return self.embed_scalar(self.scalar_field.zero)
 
-    @property
+    @functools.cached_property
     def one(self) -> _Element:
         return self.embed_scalar(self.scalar_field.one)
 

@@ -174,14 +174,25 @@ def msp(tower: Tower, elements: Sequence) -> SkewPoly:
     the monic annihilator is unique, so one normalisation at the end gives
     it with a single inversion.
     """
-    poly = SkewPoly.constant(tower, tower.one)
+    return _annihilator_chain(tower, elements)[-1].monic()
+
+
+def _annihilator_chain(tower: Tower, elements: Sequence) -> list[SkewPoly]:
+    """Annihilators of the prefixes of the elements, from the constant 1 up.
+
+    Entry i vanishes on the K-span of elements[:i], with degree its
+    K-dimension: it is entry i-1 if that vanishes at elements[i-1], and
+    otherwise (w x - theta(w)) times entry i-1, w the value there.  The
+    entries are not monic.
+    """
+    chain = [SkewPoly.constant(tower, tower.one)]
     for v in elements:
+        poly = chain[-1]
         w = poly.evaluate(v)
-        if not w:
-            continue
-        factor = SkewPoly(tower, [-w.theta(), w])
-        poly = factor * poly
-    return poly.monic()
+        if w:
+            poly = SkewPoly(tower, [-w.theta(), w]) * poly
+        chain.append(poly)
+    return chain
 
 
 def format_poly(p: SkewPoly) -> str:

@@ -106,6 +106,16 @@ def test_additive_identity(zeta5, kummer4):
         assert not (a - a)
 
 
+def test_zero_and_one_are_built_once_per_handle(zeta5, kummer4):
+    for field in (zeta5, kummer4, kummer4.scalar_field):
+        assert field.zero is field.zero
+        assert field.one is field.one
+        assert field.zero == field.embed_scalar(0)
+        assert field.one == field.embed_scalar(1)
+    # basis stays a fresh list on every access: callers may change it
+    assert zeta5.basis is not zeta5.basis
+
+
 def test_invert_zeta(zeta5):
     zeta = zeta5.basis[1]
     assert list(zeta.inverse().coords) == [-1, -1, -1, -1]  # zeta^4

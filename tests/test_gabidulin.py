@@ -1,7 +1,9 @@
 """Code construction, encoding, and bounded-minimum-distance decoding."""
 
+import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +24,14 @@ from gabrec import (
     code_to_descriptor,
     encode,
     make_tower,
+    measure,
+    msp,
+    random_low_rank,
     rank,
     rank_weight,
+    recover,
     syndrome_decode,
+    theta_matrix,
     wb_decode,
 )
 from gabrec import gabidulin
@@ -349,3 +356,73 @@ def test_decode_scale_instance():
     assert result.success
     assert result.message == f
     assert list(result.error) == e
+
+
+CACHED = ("annihilators", "annihilator", "key_columns", "point_texts")
+CACHE_TOWERS = [
+    ("cyclotomic", 5),
+    ("cyclotomic", 7),
+    ("cyclotomic", 11),
+    ("kummer", 4, 2),
+    ("kummer", 4, Fraction(3, 2)),
+]
+
+
+@pytest.mark.parametrize("params", CACHE_TOWERS, ids=lambda p: ":".join(map(str, p)))
+def test_cached_code_constants_match_fresh_computation(params):
+    tower = make_tower(*params)
+    rng = random.Random(12)
+    for k in range(1, tower.m + 1):
+        code = build_code(tower, tower.m, k)
+        points, t = code.points, code.radius
+        p = msp(tower, points[:k])
+        assert code.annihilator == p
+        assert code.annihilator is code.annihilator
+        h_block = theta_matrix(tower, [p.evaluate(g) for g in points[k:]], t)
+        assert code.key_columns == tuple(
+            tuple(-x for x in h_block.column(j)) for j in range(code.n - k)
+        )
+        for i, basis in enumerate(code.annihilators):
+            assert basis.degree == i
+            assert not any(basis.evaluate(g) for g in points[:i])
+        values = [rand_element(tower, rng, 3) for _ in range(k)]
+        poly = gabidulin._interpolate(code, values)
+        assert poly.degree < k
+        assert [poly.evaluate(g) for g in points[:k]] == values
+        assert code.point_texts == tuple(tower.to_text(g) for g in points)
+
+        matrix = random_low_rank(
+            tower.m, tower.m, t, 5, rng=rng, field=tower.scalar_field
+        ).matrix
+        record = measure(code, matrix)
+        first = recover(code, record)
+        assert first == matrix
+        assert recover(code, record) == first
+        assert recover(code_from_descriptor(code_to_descriptor(code)), record) == first
+        assert recover(dataclasses.replace(code), record) == first
+
+
+def test_descriptor_is_isolated_from_caller_mutation(code5, code_k4):
+    for code in (code5, code_k4):
+        expected = code_to_descriptor(code)
+        record = measure(code, Matrix(code.tower.scalar_field, [[0] * 4] * 4))
+        record.code_descriptor["g"][0] = "(9,9,9,9)"
+        record.code_descriptor["g"].append("(1,1,1,1)")
+        descriptor = code_to_descriptor(code)
+        descriptor["g"].pop()
+        descriptor["n"] = 99
+        assert code_to_descriptor(code) == expected
+        assert expected["g"] == [code.tower.to_text(g) for g in code.points]
+        assert code_to_descriptor(code)["g"] is not code_to_descriptor(code)["g"]
+
+
+def test_code_constants_are_computed_on_first_use(zeta5, kummer4):
+    for tower in (zeta5, kummer4):
+        code = build_code(tower, 4, 2)
+        assert not set(CACHED) & vars(code).keys()
+        record = measure(code, Matrix(tower.scalar_field, [[0] * 4] * 4))
+        # measuring formats the points but needs neither P nor h
+        assert set(CACHED) & vars(code).keys() == {"point_texts"}
+        recover(code, record)
+        assert set(CACHED) <= vars(code).keys()
+        assert not set(CACHED) & vars(dataclasses.replace(code)).keys()
