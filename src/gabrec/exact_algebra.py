@@ -16,54 +16,51 @@ degree m together with a generating automorphism theta:
 
 Every field here is one kind of object, a handle whose elements are
 coordinate vectors of length m over a scalar field: ``CyclotomicField(n)``
-(m = phi(n) over the rationals) and the two towers (L over K).  The
-cyclotomic tower is Q(zeta_p) itself, a ``CyclotomicField`` with theta; the
-Kummer tower's K is a ``CyclotomicField``.  Two classes hold the elements:
+(m = phi(n) over the rationals, which are :class:`fractions.Fraction`) and the
+two towers (L over K).  The cyclotomic tower is Q(zeta_p) itself, a
+``CyclotomicField`` with theta; the Kummer tower's K is a ``CyclotomicField``.
+All arithmetic is exact; no floating point is used anywhere.
 
-* :class:`CyclotomicElement` for every Q(zeta_n): each ``CyclotomicField``,
-  so the cyclotomic tower's L and the Kummer tower's K;
-* :class:`FieldElement` for the Kummer tower's L.
+Every element is stored one way: Python-int numerators in a Q-basis over one
+int denominator, in canonical form, den > 0 and gcd(den, *nums) = 1, so
+equal elements have equal representations.  The Q-basis of Q(zeta_n) is
+zeta^e, 0 <= e < phi(n); that of the Kummer L is zeta^e alpha^i, at index
+i phi(n) + e, one row of phi(n) numerators per power of alpha.  ``coords``, a
+read-only view over the scalar field (``Fraction``s, or one canonical
+K-element per row), serves the coordinate matrices, the text format and the
+measurement records and takes no part in the arithmetic.
 
-Rationals are :class:`fractions.Fraction`.  All arithmetic is exact; no
-floating point is used anywhere.
-
-Both classes store an element the same way: Python-int numerators in a
-Q-basis over one int denominator, in canonical form, den > 0 and
-gcd(den, *nums) = 1, so equal elements have equal representations and zero
-is den 1 over zeros.  The Q-basis of Q(zeta_n) is zeta^e, 0 <= e < phi(n);
-that of the Kummer L is zeta^e alpha^i, at index i phi(n) + e, so its
-nums are n phi(n) ints.  ``coords`` is a read-only view over the scalar
-field (``Fraction``s, or one canonical K-element per power of alpha), for the
-coordinate matrices, the text format and the measurement records; it takes
-no part in the arithmetic.  Sums and differences add numerators over the
-shared denominator, or cross-multiply, and end in one gcd; this code is
-shared.  A product in Q(zeta_n) convolves the numerators, folds degrees
-from n down by zeta^n = 1, reduces the rest by the monic integer
-cyclotomic polynomial and ends in one gcd.  A product in the Kummer L is
-one 2-D convolution: a term of alpha^(i+j) with i + j >= n folds to
-alpha^(i+j-n) times p, the others are taken times q, for radicand p/q, and
-den gains the factor q; each row then reduces by Phi_n, and one gcd ends
-it.  A rational factor scales numerators and denominator, a K-factor each
-row.  One exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives
-the Galois action sigma_u (s = 0; theta of the cyclotomic tower is
-sigma_g), ``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.
-It needs no gcd: sigma_u and the product with the unit zeta^s map the
-lattice Z[zeta] onto itself, and the power basis is a Z-basis of Z[zeta],
-so the numerators keep their content.
+One implementation, ``_Element``, holds every operator; what differs between
+fields is a hook on the handle.  Sums and differences add numerators over the
+shared denominator, or cross-multiply, and end in one gcd.  A product in
+Q(zeta_n) convolves the numerators, folds degrees from n down by zeta^n = 1
+and reduces the rest by the monic integer cyclotomic polynomial; one in the
+Kummer L is a 2-D convolution whose rows fold by alpha^n = radicand and
+reduce by Phi_n, and den gains the radicand's denominator.  One gcd ends
+each.  A rational factor scales numerators and denominator, a K-factor each
+row.  One exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives the
+Galois action sigma_u (s = 0; theta of the cyclotomic tower is sigma_g),
+``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.  It needs no
+gcd: sigma_u and the product with the unit zeta^s map the lattice Z[zeta],
+whose Z-basis is the power basis, onto itself.
 
 The inverse comes from the norm: x^-1 is the product P of the other Galois
 conjugates of x divided by N(x), the product of all of them, taken on the
-numerators of den x.  In a cyclotomic tower and in the Kummer L, theta
-generates the Galois group, so P is built by doubling in O(log m) products;
-in a plain Q(zeta_n) it is the product of sigma_u(x) for the units u != 1
-modulo n.  In Q(zeta_n), N is a positive integer; in L it lies in K and is
-inverted there once.  Elements of K and of L stay two classes so that the
-benchmark's tracer can count their operators apart.
+numerators of den x.  In a tower, theta generates the Galois group, so P is
+built by doubling in O(log m) products; in a plain Q(zeta_n) it is the
+product of sigma_u(x) for the units u != 1 modulo n.  In Q(zeta_n), N is a
+positive integer; in the Kummer L it lies in K and is inverted there once.
+
+The two element classes are names only, kept for the benchmark's tracer,
+which counts K- and L-operators by patching each class's own product,
+``inverse`` and ``theta``: :class:`CyclotomicElement` for every Q(zeta_n) and
+:class:`FieldElement` for the Kummer L, each binding the shared operators.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -199,7 +196,7 @@ def _split_tuple(text: str) -> list[str]:
 
 
 def scalar_to_text(value) -> str:
-    """Render a Fraction, CyclotomicElement or FieldElement in the text format."""
+    """Render a rational, or an element of any field here as its coordinate tuple."""
     if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, _Element):
@@ -210,12 +207,12 @@ def scalar_to_text(value) -> str:
 # ---------------------------------------------------------------------------
 # the rational base field
 
-def _rational_parts(value) -> tuple[int, int]:
-    # (numerator, positive denominator) of an int or a Fraction
+def _rational_parts(value) -> tuple[int, tuple[int]]:
+    # (positive denominator, (numerator,)) of an int or a Fraction
     if isinstance(value, int):
-        return value, 1
+        return 1, (value,)
     if isinstance(value, Fraction):
-        return value.numerator, value.denominator
+        return value.denominator, (value.numerator,)
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
 
 
@@ -257,21 +254,18 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 # elements
 #
-# The benchmark's tracer (perfbench/spans.py) counts K- and L-operators apart
-# by patching __mul__, __rmul__, inverse and theta in each element class's own
-# __dict__, so each class defines them in its body instead of inheriting.
+# The benchmark's tracer, perfbench/spans.py, counts K- and L-operators apart by patching
+# __mul__, __rmul__, inverse and theta in each element class's own __dict__, hence the bindings.
 
 class _Element:
-    """Integer numerators over one positive denominator, shared by both element classes.
+    """Integer numerators over one positive denominator, the one element implementation.
 
     ``field`` is the handle the element belongs to, ``nums`` its numerators
     in the handle's Q-basis and ``den`` a positive int with
     gcd(den, *nums) = 1, so each element has one representation and zero is
     den 1 over zero numerators.  ``coords`` is the view over the handle's
-    scalar field.  Sums, differences, negation, equality and truth work on
-    the numerators alone and are implemented here once; each subclass
-    provides ``_match`` (the other operand as an element of the same field,
-    or NotImplemented), the product, ``inverse``, ``theta`` and the hash.
+    scalar field.  Every operator is implemented here once, over the hooks
+    that :class:`_CoordinateField` lists.
     """
 
     __slots__ = ("field", "den", "nums")
@@ -289,6 +283,24 @@ class _Element:
             den //= g
             nums = [x // g for x in nums]
         return cls(field, den, tuple(nums))
+
+    @property
+    def coords(self) -> tuple:
+        # one scalar per row of _width numerators, cut by one shared iterator
+        field = self.field
+        rows = zip(*[iter(self.nums)] * field._width)
+        return tuple(map(field._scalar, itertools.repeat(self.den), rows))
+
+    def _match(self, other):
+        # other as an element of this field, or NotImplemented; an element of
+        # another field is no rational (TypeError) and no element of K (ValueError)
+        field = self.field
+        if isinstance(other, _Element) and (other.field is field or other.field == field):
+            return other
+        try:
+            return field.embed_scalar(other)
+        except TypeError:
+            return NotImplemented
 
     def __add__(self, other):
         other = self._match(other)
@@ -320,6 +332,23 @@ class _Element:
     def __neg__(self):
         return type(self)(self.field, self.den, tuple(-x for x in self.nums))
 
+    def __mul__(self, other):
+        field = self.field
+        if isinstance(other, _Element) and (other.field is field or other.field == field):
+            product = field._mul_nums(self.nums, other.nums)
+            return self._canonical(field, self.den * other.den * field._q, product)
+        if isinstance(other, (int, Fraction)):
+            q, (p,) = _rational_parts(other)
+            return self._canonical(field, self.den * q, [p * x for x in self.nums])
+        try:
+            scalar = field.scalar_field.coerce(other)
+        except TypeError:
+            return NotImplemented
+        product = field._scale_nums(self.nums, scalar.nums)
+        return self._canonical(field, self.den * scalar.den, product)
+
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
         other = self._match(other)
         if other is NotImplemented:
@@ -341,6 +370,27 @@ class _Element:
             exponent >>= 1
         return out
 
+    def inverse(self):
+        """x^-1 = den P / N by the norm, on numerators.
+
+        With a = den x, P is the product of the conjugates of a other than
+        a under the Galois group over the scalar field, and N = a P = N(a)
+        is fixed by that group, so it lies in the scalar field; the handle
+        checks that and divides P by N.  Its product of numerators carries
+        the factor q = ``_q``, so it yields q N, and den q P / (q N) = x^-1.
+        """
+        if not any(self.nums):
+            raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        product = field._conjugate_product(self.nums)
+        den, nums = field._divide_by_norm(product, field._mul_nums(self.nums, product))
+        scale = self.den * field._q
+        return self._canonical(field, den, [scale * x for x in nums])
+
+    def theta(self, j: int = 1):
+        """Image under the j-th power of the tower's generating automorphism."""
+        return type(self)(self.field, self.den, self.field._theta_nums(self.nums, j))
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             try:
@@ -348,6 +398,15 @@ class _Element:
             except (TypeError, ValueError):
                 return NotImplemented
         return self.field == other.field and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        # an element whose only nonzero coordinate is the first hashes as that
+        # scalar, and so down to the Fraction, like the scalars it equals
+        field, nums = self.field, self.nums
+        w = field._width
+        if not any(nums[w:]):
+            return hash(field._scalar(self.den, nums[:w]))
+        return hash((field, self.den, nums))
 
     def __bool__(self) -> bool:
         return any(self.nums)
@@ -357,153 +416,21 @@ class _Element:
 
 
 class CyclotomicElement(_Element):
-    """Element sum(nums[e] zeta^e) / den of a :class:`CyclotomicField`.
-
-    ``nums`` are m = phi(n) Python ints in the power basis of zeta;
-    ``coords`` is the ``Fraction`` view.
-    """
+    """Element sum(nums[e] zeta^e) / den of a :class:`CyclotomicField`."""
 
     __slots__ = ()
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        den = self.den
-        if den == 1:
-            return tuple(Fraction(x) for x in self.nums)
-        return tuple(Fraction(x, den) for x in self.nums)
-
-    def _same_field(self, other: "CyclotomicElement") -> None:
-        if other.field is not self.field and other.field != self.field:
-            raise TypeError(f"cannot combine elements of {self.field!r} and {other.field!r}")
-
-    def _match(self, other):
-        if type(other) is CyclotomicElement:
-            self._same_field(other)
-            return other
-        try:
-            return self.field.embed_scalar(other)
-        except TypeError:
-            return NotImplemented
-
-    def __mul__(self, other):
-        field = self.field
-        if type(other) is CyclotomicElement:
-            self._same_field(other)
-            product = field._mul_nums(self.nums, other.nums)
-            return self._canonical(field, self.den * other.den, product)
-        try:
-            p, q = _rational_parts(other)
-        except TypeError:
-            return NotImplemented
-        return self._canonical(field, self.den * q, [p * x for x in self.nums])
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CyclotomicElement":
-        """x^-1 = den P / N by the norm, on integers.
-
-        With a = den x in Z[zeta], P is the product of the conjugates of a
-        other than a, and N = a P = N(a) is an integer.  It is positive:
-        Q(zeta_n) has no real embedding, so the conjugates pair up as
-        complex conjugates and N is a product of squared moduli.
-        """
-        if not any(self.nums):
-            raise ZeroDivisionError("inverse of zero")
-        field = self.field
-        product = field._conjugate_product(self.nums)
-        norm = field._mul_nums(self.nums, product)
-        if norm[0] <= 0 or any(norm[1:]):
-            raise ArithmeticError("norm is not a positive integer")
-        return self._canonical(field, norm[0], [self.den * x for x in product])
-
-    def theta(self, j: int = 1) -> "CyclotomicElement":
-        """Image under theta^j = sigma_(g^j), for an element of a cyclotomic tower."""
-        return CyclotomicElement(self.field, self.den, self.field._theta_nums(self.nums, j))
-
-    def __hash__(self) -> int:
-        # a rational hashes as its Fraction, so that it hashes like the
-        # scalars it equals
-        if not any(self.nums[1:]):
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.field, self.den, self.nums))
+    __mul__ = __rmul__ = _Element.__mul__
+    inverse = _Element.inverse
+    theta = _Element.theta
 
 
 class FieldElement(_Element):
-    """Element of the Kummer tower's L: sum(nums[i d + e] zeta^e alpha^i) / den.
-
-    ``nums`` are n phi(n) Python ints, d = phi(n), one row of d per power of
-    alpha; ``coords`` is the view as m canonical elements of K, one per row.
-    """
+    """Element sum(nums[i phi(n) + e] zeta^e alpha^i) / den of the Kummer tower's L."""
 
     __slots__ = ()
-
-    @property
-    def coords(self) -> tuple[CyclotomicElement, ...]:
-        base, den, nums = self.field.scalar_field, self.den, self.nums
-        d = base.m
-        rows = (nums[i : i + d] for i in range(0, len(nums), d))
-        return tuple(CyclotomicElement._canonical(base, den, row) for row in rows)
-
-    def _match(self, other):
-        try:
-            return self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-
-    def __mul__(self, other):
-        field = self.field
-        if type(other) is FieldElement:
-            other = field.coerce(other)  # raises on elements of another field
-            return self._canonical(
-                field, self.den * other.den * field._q, field._mul_nums(self.nums, other.nums)
-            )
-        if isinstance(other, (int, Fraction)):
-            p, q = _rational_parts(other)
-            return self._canonical(field, self.den * q, [p * x for x in self.nums])
-        try:
-            scalar = field.scalar_field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        product = field._scale_rows(self.nums, scalar.nums)
-        return self._canonical(field, self.den * scalar.den, product)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        """x^-1 = den P / N by the norm over K, on numerators.
-
-        With a = den x, P is the product of the conjugates theta^j(a),
-        0 < j < m, and N = a P = N(a) is fixed by theta, so it lies in K; if
-        it is zero, or not there, the ring is not a field and
-        ArithmeticError is raised.  N's one K-inverse scales the rows of P.
-        """
-        if not any(self.nums):
-            raise ZeroDivisionError("inverse of zero")
-        field = self.field
-        d = field.scalar_field.m
-        product = field._conjugate_product(self.nums)
-        # the numerator product is q a P, q the radicand's denominator
-        norm = field._mul_nums(self.nums, product)
-        if not any(norm[:d]) or any(norm[d:]):
-            raise ArithmeticError("norm is zero or not in the base field")
-        # N's numerators need no gcd here: inverse() returns canonical form
-        scale = CyclotomicElement(field.scalar_field, 1, norm[:d]).inverse()
-        return self._canonical(
-            field,
-            scale.den,
-            [self.den * field._q * x for x in field._scale_rows(product, scale.nums)],
-        )
-
-    def theta(self, j: int = 1) -> "FieldElement":
-        """Image under the j-th power of the generating automorphism."""
-        return FieldElement(self.field, self.den, self.field._theta_nums(self.nums, j))
-
-    def __hash__(self) -> int:
-        # an element of K hashes as that K-element, and so down to the Fraction
-        base = self.field.scalar_field
-        if not any(self.nums[base.m :]):
-            return hash(CyclotomicElement(base, self.den, self.nums[: base.m]))
-        return hash((self.field, self.den, self.nums))
+    __mul__ = __rmul__ = _Element.__mul__
+    inverse = _Element.inverse
+    theta = _Element.theta
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +441,12 @@ class _CoordinateField:
 
     Two handles are equal when their ``_key``, the class name and the
     construction parameters, is; ``_element`` is the class of their elements.
-    Each subclass builds its elements in ``from_coords`` and ``embed_scalar``.
+    Each subclass provides the hooks that :class:`_Element` calls: ``_width``
+    numerators per coordinate, ``_scalar_parts`` (a scalar as its
+    denominator and row of numerators) and ``_scalar`` (the reverse),
+    ``_mul_nums`` and ``_q`` (the product and the denominator it leaves),
+    ``_scale_nums`` (rows times a K-element), ``_conjugate_product`` and
+    ``_divide_by_norm`` for the inverse, and ``_theta_nums`` on a tower.
     """
 
     _element: type
@@ -551,14 +483,27 @@ class _CoordinateField:
             for i in range(self.m)
         ]
 
+    def from_coords(self, coords: Iterable) -> _Element:
+        # over the least common denominator of the canonical coordinates,
+        # which is canonical: a prime power exactly dividing it exactly
+        # divides one coordinate's denominator, whose numerators it leaves
+        # prime to it
+        parts = list(map(self._scalar_parts, coords))
+        if len(parts) != self.m:
+            raise ValueError(f"expected {self.m} coordinates, got {len(parts)}")
+        den = math.lcm(*(q for q, _ in parts))
+        return self._element(self, den, tuple(x * (den // q) for q, row in parts for x in row))
+
+    def embed_scalar(self, value) -> _Element:
+        den, row = self._scalar_parts(value)
+        return self._element(self, den, row + (0,) * (self._width * (self.m - 1)))
+
     def coerce(self, value) -> _Element:
-        if isinstance(value, self._element):
-            if value.field is not self and value.field != self:
-                raise ValueError(f"element of {value.field!r}, not of {self!r}")
+        if isinstance(value, _Element) and (value.field is self or value.field == self):
             return value
         try:
             return self.embed_scalar(value)
-        except TypeError:
+        except (TypeError, ValueError):
             if isinstance(value, _Element):
                 raise ValueError(f"element of {value.field!r}, not of {self!r}") from None
             raise
@@ -579,6 +524,8 @@ class CyclotomicField(_CoordinateField):
     """
 
     _element = CyclotomicElement
+    _width = 1  # one numerator per rational coordinate
+    _q = 1  # the product of numerators leaves no denominator
 
     def __init__(self, conductor: int):
         if conductor < 3:
@@ -598,20 +545,11 @@ class CyclotomicField(_CoordinateField):
             for k in range(conductor)
         ]
 
-    def from_coords(self, coords: Iterable) -> CyclotomicElement:
-        # over the least common denominator of coordinates in lowest terms,
-        # which is canonical: a prime power exactly dividing it exactly
-        # divides one coordinate's denominator, whose numerator it leaves
-        # prime to it
-        parts = [_rational_parts(c) for c in coords]
-        if len(parts) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(parts)}")
-        den = math.lcm(*(q for _, q in parts))
-        return CyclotomicElement(self, den, tuple(p * (den // q) for p, q in parts))
+    _scalar_parts = staticmethod(_rational_parts)
 
-    def embed_scalar(self, value) -> CyclotomicElement:
-        p, q = _rational_parts(value)
-        return CyclotomicElement(self, q, (p,) + (0,) * (self.m - 1))
+    @staticmethod
+    def _scalar(den: int, row: Sequence[int]) -> Fraction:
+        return Fraction(row[0], den) if den != 1 else Fraction(row[0])
 
     def element(self, coeffs: Iterable[Rational]) -> CyclotomicElement:
         """sum(coeffs[e] zeta^e) for at most m int or Fraction coefficients."""
@@ -664,6 +602,14 @@ class CyclotomicField(_CoordinateField):
         # product of sigma_u(a), u != 1, for numerators a
         return functools.reduce(self._mul_nums, (self._move(nums, u) for u in self._other_units))
 
+    @staticmethod
+    def _divide_by_norm(product: Sequence[int], norm: Sequence[int]) -> tuple:
+        # N is positive: Q(zeta_n) has no real embedding, so the conjugates
+        # pair up as complex conjugates and N is a product of squared moduli
+        if norm[0] <= 0 or any(norm[1:]):
+            raise ArithmeticError("norm is not a positive integer")
+        return norm[0], product
+
 
 # ---------------------------------------------------------------------------
 # towers L/K with generating automorphism theta
@@ -671,11 +617,16 @@ class CyclotomicField(_CoordinateField):
 class Tower(_CoordinateField):
     """A cyclic extension L/K of degree m with generating automorphism theta.
 
-    Use :func:`make_tower`.  Subclasses provide ``kind`` and ``generator()``;
-    their elements provide ``theta``.
+    Use :func:`make_tower`.  Subclasses provide ``kind`` and the hook
+    ``_theta_nums`` behind their elements' ``theta``.
     """
 
     kind: str
+
+    def generator(self) -> _Element:
+        # zeta or alpha, the second power-basis vector: one numerator 1 at index _width
+        w = self._width
+        return self._element(self, 1, (0,) * w + (1,) + (0,) * (w * (self.m - 1) - 1))
 
     def _conjugate_product(self, nums: Sequence[int]) -> tuple[int, ...]:
         # Numerators of theta(a) ... theta^(m-1)(a), up to the positive
@@ -713,9 +664,6 @@ class CyclotomicTower(Tower, CyclotomicField):
         self.primitive_root = smallest_primitive_root(conductor)
         self._check_theta_order()
 
-    def generator(self) -> CyclotomicElement:
-        return self.zeta()
-
     def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
         # theta^j = sigma_(g^j)
         return self._move(nums, pow(self.primitive_root, j % self.m, self.conductor))
@@ -738,9 +686,10 @@ class KummerTower(Tower):
         self.n = n
         self.radicand = radicand
         self._p, self._q = radicand.numerator, radicand.denominator
+        self._width = d = self.scalar_field.m  # a row of numerators per power of alpha
+        self._scalar = functools.partial(CyclotomicElement._canonical, self.scalar_field)
         # offset of the numerator of zeta^e alpha^i, index i d + e, in the
         # product's buffer of rows of 2 d - 1
-        d = self.scalar_field.m
         self._offsets = [i * (2 * d - 1) + e for i in range(n) for e in range(d)]
         self._check_theta_order()
 
@@ -760,25 +709,13 @@ class KummerTower(Tower):
             if d != 2 and _is_rational_power(c, d):
                 raise ValueError(f"radicand {c} is a {d}-th power, extension collapses")
 
-    def generator(self) -> FieldElement:
-        return self.basis[1]  # alpha
-
     def imaginary_unit(self) -> CyclotomicElement:
         """i as an element of K (K contains a primitive 4th root of unity)."""
         return self.scalar_field.zeta(self.n // 4)
 
-    def from_coords(self, coords: Iterable) -> FieldElement:
-        # over the least common denominator of the canonical K-coordinates,
-        # which is canonical by the argument in CyclotomicField.from_coords
-        coords = [self.scalar_field.coerce(c) for c in coords]
-        if len(coords) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
-        den = math.lcm(*(c.den for c in coords))
-        return FieldElement(self, den, tuple(x * (den // c.den) for c in coords for x in c.nums))
-
-    def embed_scalar(self, value) -> FieldElement:
+    def _scalar_parts(self, value) -> tuple[int, tuple[int, ...]]:
         x = self.scalar_field.coerce(value)
-        return FieldElement(self, x.den, x.nums + (0,) * (self.scalar_field.m * (self.m - 1)))
+        return x.den, x.nums
 
     def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         # q a b for numerator rows a, b, where radicand = p / q: one 2-D
@@ -813,7 +750,7 @@ class KummerTower(Tower):
             out += buf[r : r + d]
         return tuple(out)
 
-    def _scale_rows(self, nums: Sequence[int], y: Sequence[int]) -> list[int]:
+    def _scale_nums(self, nums: Sequence[int], y: Sequence[int]) -> list[int]:
         # each row of numerators times the K-numerators y
         base = self.scalar_field
         d = base.m
@@ -822,6 +759,15 @@ class KummerTower(Tower):
             row = nums[r : r + d]
             out.extend(base._mul_nums(row, y) if any(row) else row)
         return out
+
+    def _divide_by_norm(self, product: Sequence[int], norm: Sequence[int]) -> tuple:
+        # N lies in K, or the ring is not a field; its one K-inverse (no gcd
+        # needed: inverse() returns canonical form) scales the rows of P
+        d = self._width
+        if not any(norm[:d]) or any(norm[d:]):
+            raise ArithmeticError("norm is zero or not in the base field")
+        scale = CyclotomicElement(self.scalar_field, 1, norm[:d]).inverse()
+        return scale.den, self._scale_nums(product, scale.nums)
 
     def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
         # theta^j: alpha^i -> zeta^(i j) alpha^i, so row i shifts by i j

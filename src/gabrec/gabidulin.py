@@ -256,9 +256,8 @@ def code_to_descriptor(code: GabCode) -> dict:
 
 
 def code_from_descriptor(descriptor: dict) -> GabCode:
-    kind = descriptor["towerKind"]
-    param = int(descriptor["towerParam"])
+    # a cyclotomic descriptor carries no radicand, and make_tower ignores it there
     radicand = Fraction(descriptor.get("radicand", 2))
-    tower = make_tower(kind, param, radicand) if kind == "kummer" else make_tower(kind, param)
+    tower = make_tower(descriptor["towerKind"], int(descriptor["towerParam"]), radicand)
     points = [tower.from_text(text) for text in descriptor["g"]]
     return build_code(tower, int(descriptor["n"]), int(descriptor["k"]), points)

@@ -61,11 +61,7 @@ def theta_matrix(tower: Tower, vector: Sequence, s: int | None = None) -> Matrix
 
 def coordinate_expansion(tower: Tower, matrix: Matrix) -> Matrix:
     """Expand an L-matrix over K: each row becomes m rows of coordinates."""
-    rows = []
-    for row in matrix.entries:
-        columns = [entry.coords for entry in row]
-        for i in range(tower.m):
-            rows.append([c[i] for c in columns])
+    rows = [r for row in matrix.entries for r in ext(tower, row).entries]
     return Matrix(tower.scalar_field, rows, cols=matrix.cols)
 
 

@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,11 @@ import pytest
 from conftest import rand_element, rand_nonzero_element, rand_scalar, solve
 from gabrec import Matrix, QQ, make_tower, rank, tower_from_spec
 from gabrec.exact_algebra import (
+    CyclotomicElement,
     CyclotomicField,
+    FieldElement,
     KummerTower,
+    _Element,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -359,6 +363,50 @@ def test_handle_contract(make, make_foreign):
     for length in (handle.m - 1, handle.m + 1):
         with pytest.raises(ValueError):
             handle.from_coords([handle.scalar_field.one] * length)
+    # arithmetic across fields raises in both orders: an element of another
+    # Q(zeta_n) is no rational (TypeError), one of another Kummer tower is
+    # refused by K (ValueError), so a shared product with a loose field test
+    # cannot multiply with the left operand's radicand
+    a, b = handle.basis[1] + handle.one, foreign.basis[1] + foreign.one
+    error = ValueError if isinstance(handle, KummerTower) else TypeError
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(error):
+                op(x, y)
+    assert not a == b and not b == a and a != b
+
+
+def test_element_classes_only_bind_the_shared_operators():
+    # One implementation, on _Element, serves every field.  The two classes
+    # stay because perfbench/spans.py counts K- and L-operators apart by
+    # patching __mul__, __rmul__, inverse and theta in each class's own
+    # __dict__; so each binds exactly those, to the shared functions.
+    shared = ("__mul__", "__rmul__", "inverse", "theta")
+    code = (types.FunctionType, property, classmethod, staticmethod)
+    for cls in (CyclotomicElement, FieldElement):
+        own = {name for name, value in vars(cls).items() if isinstance(value, code)}
+        assert own == set(shared), cls
+        for name in shared:
+            assert vars(cls)[name] is vars(_Element)[name], (cls, name)
+    assert vars(_Element)["__rmul__"] is vars(_Element)["__mul__"]
+
+
+@pytest.mark.parametrize("radicand", [2, Fraction(3, 2)], ids=["2", "3/2"])
+def test_mixed_level_operands_act_as_embedded_scalars(radicand):
+    # x op s and s op x, for s an int, a Fraction or a K-element, equal the
+    # operation with s embedded in L; with a K-element on the left, K answers
+    # NotImplemented and L takes over.  Products in both orders are covered
+    # by test_kummer_elements_are_flat_and_canonical.
+    tower = make_tower("kummer", 4, radicand)
+    rng = random.Random(14)
+    k = tower.scalar_field.from_coords([Fraction(2, 3), Fraction(-5, 4)])
+    for _ in range(3):
+        x = rand_nonzero_element(tower, rng)
+        for s in (3, Fraction(-7, 2), k):
+            e = tower.embed_scalar(s)
+            for op in (operator.add, operator.sub, operator.truediv):
+                assert op(x, s) == op(x, e) and type(op(x, s)) is FieldElement
+                assert op(s, x) == op(e, x) and type(op(s, x)) is FieldElement
 
 
 def test_tower_is_not_its_field():
