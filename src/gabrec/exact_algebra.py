@@ -327,7 +327,8 @@ class _Element:
         )
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._match(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         return type(self)(self.field, self.den, tuple(-x for x in self.nums))
@@ -351,12 +352,11 @@ class _Element:
 
     def __truediv__(self, other):
         other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        other = self._match(other)
+        return other if other is NotImplemented else other * self.inverse()
 
     def __pow__(self, exponent: int):
         if exponent < 0:

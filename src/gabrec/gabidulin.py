@@ -29,6 +29,17 @@ h_j are K-independent, so their theta-Moore block of t columns has full
 column rank (Augot-Loidreau-Robert): every nonzero kernel vector has V != 0.
 Those columns come first, so that elimination pivots on their small entries.
 
+The exact division certifies the answer, so the decoder does not re-check
+the error's rank.  It accepts only when N = V * f with V != 0, deg V <= t
+and deg f < k.  Let w = (0, ..., 0, s) be the decoded word.  On the first k
+points N(g_i) = Q(P(g_i)) = 0 = V(w_i), and on the others
+N(g_(k+j)) = Q(h_j) = V(s_j), so V(w_i) = N(g_i) at every point.  The error
+e = w - f(g) then has V(e_i) = N(g_i) - (V * f)(g_i) = 0: every entry of e
+is a root of V.  A theta-polynomial is K-linear, and the roots of a nonzero
+one of degree tau form a K-space of dimension at most tau
+(Augot-Loidreau-Robert), so e has rank weight at most t.  And
+H e = H w = s, because f(g) is a codeword.
+
 The code is the measurement operator: every record is measured and
 recovered under one code.  So what depends only on the code is computed
 once per ``GabCode``, on first use, and kept on the instance: P, the
@@ -47,7 +58,7 @@ from typing import Sequence
 
 from .exact_algebra import Tower, _Element, make_tower
 from .exact_linalg import Matrix, right_kernel, rref
-from .rank_metric import ext, rank_weight, theta_matrix
+from .rank_metric import ext, theta_matrix
 from .skew_poly import SkewPoly, _annihilator_chain, left_divide
 
 __all__ = [
@@ -178,7 +189,11 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     """Bounded-minimum-distance decoding of a received word.
 
     Failure is reported through the result status, never an exception: it
-    signals an error of rank weight above the decoding radius.
+    signals an error of rank weight above the decoding radius.  There are
+    three failure exits: no kernel vector (only when n-k is odd, so that the
+    system is square), a nonzero remainder of the left division, and a
+    quotient of degree k or more.  A success needs no further check: the
+    module docstring shows that its error has rank weight at most t.
     """
     received = _coerce_word(code, received)
     tower, t, k = code.tower, code.radius, code.k
@@ -199,8 +214,6 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
         return DecodeResult(success=False)
     codeword = encode(code, message)
     error = [w - c for w, c in zip([tower.zero] * k + syndrome, codeword)]
-    if rank_weight(tower, error, "B") > t:
-        return DecodeResult(success=False)
     if any(head):
         # add back the codeword r - (0, s), equal to r on the head, and its message
         message = message + _interpolate(code, head)

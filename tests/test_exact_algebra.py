@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -360,6 +361,13 @@ def test_handle_contract(make, make_foreign):
     for bad in (0.5, "1", None):
         with pytest.raises(TypeError):
             handle.coerce(bad)
+        # the reflected operators match the operand first, as the forward ones
+        # do: the error names the operator used, and nothing is inverted
+        for op, symbol in ((operator.sub, "-"), (operator.truediv, "/")):
+            for x in (handle.one, handle.zero):
+                for args in ((x, bad), (bad, x)):
+                    with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+                        op(*args)
     for length in (handle.m - 1, handle.m + 1):
         with pytest.raises(ValueError):
             handle.from_coords([handle.scalar_field.one] * length)

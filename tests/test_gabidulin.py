@@ -1,5 +1,6 @@
 """Code construction, encoding, and bounded-minimum-distance decoding."""
 
+import collections
 import dataclasses
 import json
 import random
@@ -281,6 +282,53 @@ def test_syndrome_decode_beyond_radius(code5):
         if recovered is not None:
             assert mul_vec(code5.parity_check, recovered) == syndrome
             assert rank_weight(code5.tower, recovered, "B") <= code5.radius
+
+
+ORACLE_TOWERS = [
+    ("cyclotomic", 5, 2),
+    ("cyclotomic", 7, 2),
+    ("cyclotomic", 11, 2),
+    ("kummer", 4, 2),
+    ("kummer", 4, Fraction(3, 2)),
+    ("kummer", 8, 3),
+]
+
+
+def test_random_syndromes_match_rank_checked_reference(monkeypatch):
+    # Uniformly random syndromes, which no planted error of small rank
+    # reaches.  The decoder trusts its exact division; the reference keeps
+    # the rank check, so any success the division alone lets through as a
+    # wrong answer shows up as a mismatch.
+    exits = collections.Counter()
+    left_divide = gabidulin.left_divide
+
+    def spy(numerator, locator):
+        quotient, remainder = left_divide(numerator, locator)
+        exits["division"] += 1
+        exits["nonzero remainder"] += not remainder.is_zero()
+        return quotient, remainder
+
+    monkeypatch.setattr(gabidulin, "left_divide", spy)
+    rng = random.Random(15)
+    for spec in ORACLE_TOWERS:
+        tower = make_tower(*spec)
+        n = tower.m
+        for k in range(1, n + 1):
+            code = build_code(tower, n, k)
+            for _ in range(2 if n > 6 else 4):
+                syndrome = rand_vector(tower, rng, n - k, height=3)
+                divisions = exits["division"]
+                recovered = syndrome_decode(code, syndrome)
+                reference = reference_wb_decode(code, [tower.zero] * k + syndrome)
+                assert recovered == (list(reference.error) if reference.success else None)
+                if recovered is not None:
+                    assert mul_vec(code.parity_check, recovered) == syndrome
+                    assert rank_weight(tower, recovered, "B") <= code.radius
+                elif exits["division"] == divisions:
+                    # the interpolation system is square only when n-k is odd
+                    assert (n - k) % 2 == 1, (spec, k)
+                    exits["no kernel"] += 1
+    assert exits["no kernel"] > 0 and exits["nonzero remainder"] > 0, exits
 
 
 def test_syndrome_length_validation(code5):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axpy, rand_poly, zero_matrix
+from conftest import axpy, rand_poly, rand_scalar, zero_matrix
 from gabrec import (
     QQ,
     approximate_complex,
@@ -164,22 +164,27 @@ def pipeline_code(spec, k):
     return build_code(tower, tower.m, k)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(st.data())
 def test_pipeline_property(data):
-    # rank <= t recovers exactly; beyond t, None or a rank <= t matrix with
-    # the same measurement
+    # rank <= t recovers exactly; beyond t, and for a uniformly random record
+    # that no planted matrix need reach, None or a rank <= t matrix with the
+    # same measurement
     spec = data.draw(st.sampled_from(PIPELINE_TOWERS))
     m = pipeline_code(spec, 1).n
     code = pipeline_code(spec, data.draw(st.integers(1, m)))
-    planted = data.draw(st.integers(0, m - code.k))
+    planted = None if data.draw(st.booleans()) else data.draw(st.integers(0, m - code.k))
     height = data.draw(st.integers(1, 5))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    field = code.tower.scalar_field
-    matrix = random_low_rank(m, m, planted, height, rng=rng, field=field).matrix
-    record = measure(code, matrix)
+    if planted is None:
+        y = [rand_scalar(code.tower, rng, height) for _ in range(m * (m - code.k))]
+        record = MeasurementRecord(tuple(y), code_to_descriptor(code))
+    else:
+        field = code.tower.scalar_field
+        matrix = random_low_rank(m, m, planted, height, rng=rng, field=field).matrix
+        record = measure(code, matrix)
     result = recover(code, record)
-    if planted <= code.radius:
+    if planted is not None and planted <= code.radius:
         assert result == matrix
     elif result is not None:
         assert rank(result) <= code.radius
