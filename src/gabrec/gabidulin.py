@@ -23,11 +23,31 @@ gives that error, so the decoder may solve a smaller system with the same
 solutions.  It decodes the word (0, ..., 0, s), where s = H r; that word
 differs from r by a codeword.  N vanishes on the first k points, so
 N = Q * P with P = msp(g_0, ..., g_(k-1)) of degree k and deg Q < t, and
-the conditions left are V(s_j) = Q(h_j) with h_j = P(g_(k+j)).  That is one
-kernel of an (n-k)-by-(2t+1) system over L, in place of n-by-(2t+k+1).  The
-h_j are K-independent, so their theta-Moore block of t columns has full
-column rank (Augot-Loidreau-Robert): every nonzero kernel vector has V != 0.
-Those columns come first, so that elimination pivots on their small entries.
+the conditions left are V(s_j) = Q(h_j) with h_j = P(g_(k+j)).  In matrix
+form they read S v = A q, where v and q hold the coefficients of V and Q,
+S is (n-k)-by-(t+1) with S_ji = theta^i(s_j), and A is (n-k)-by-t with
+A_ji = theta^i(h_j).  The h_j are K-independent, so A has full column rank
+t (Augot-Loidreau-Robert): every nonzero solution has V != 0.
+
+A depends only on the code, so its elimination is done once per code.  Let
+E be the right block of rref([A | I_(n-k)]).  E is invertible, and its first
+t rows E_top and the others E_bottom satisfy E_top A = I_t and
+E_bottom A = 0.  Multiplied by E, S v = A q splits into q = E_top S v and
+B v = 0 with B = E_bottom S.  So each decode solves one kernel of the
+(n-k-t)-by-(t+1) matrix B over L, in place of the (n-k)-by-(2t+1) matrix
+[-A | S] on (q, v).  At n-k = 2t, B is t-by-(t+1), the size of a
+Peterson-type key equation.
+
+The reduction keeps the decoded vector bit for bit.  The decoder takes v
+from the first free column of B, and this is the V part of the vector
+that the first free column of [-A | S] gives.  A reduced row echelon form
+is unique, so rref([-A | S]) is rref of the row-equivalent
+E [-A | S] = [[-I_t, E_top S], [0, B]].  That reduction leaves the first t
+rows pivoting on the Q columns and reduces the rest to rref(B), so the
+free columns are those of B and the V part of each kernel vector is built
+from rref(B) alone.  The q of a given v is unique, as A has full column
+rank.  The first free column also gives the V of least degree; within the
+radius that is the monic annihilator of the error's entries.
 
 The exact division certifies the answer, so the decoder does not re-check
 the error's rank.  It accepts only when N = V * f with V != 0, deg V <= t
@@ -43,16 +63,16 @@ H e = H w = s, because f(g) is a codeword.
 The code is the measurement operator: every record is measured and
 recovered under one code.  So what depends only on the code is computed
 once per ``GabCode``, on first use, and kept on the instance: P, the
-negated h columns of the system above, the chain of prefix annihilators
-that also gives the Newton bases for a word with a nonzero head, and the
-points' text forms for ``code_to_descriptor``.  ``build_code`` computes none
-of them, so a code that only measures never pays for P and h.
+reduction E of the h block above, the chain of prefix annihilators that
+also gives the Newton bases for a word with a nonzero head, and the points'
+text forms for ``code_to_descriptor``.  ``build_code`` computes none of
+them, so a code that only measures never pays for P and E.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -77,7 +97,9 @@ __all__ = [
 class GabCode:
     """Immutable code instance; build with :func:`build_code`.
 
-    The cached properties hold values that depend only on the code.  Each is
+    The cached properties hold values that depend only on the code:
+    ``annihilators`` (the Newton bases), ``annihilator`` (P),
+    ``key_reduction`` (E_top and E_bottom) and ``point_texts``.  Each is
     computed on first use and kept in the instance ``__dict__``, outside the
     dataclass fields, so equality and ``dataclasses.replace`` ignore them.
     ``build_code`` leaves them uncomputed: computing P and h there made
@@ -112,11 +134,23 @@ class GabCode:
         return self.annihilators[-1].monic()
 
     @functools.cached_property
-    def key_columns(self) -> tuple[tuple[_Element, ...], ...]:
-        """-theta^i(h_j) for i < t, one tuple per syndrome row j, h_j = P(g_(k+j))."""
+    def key_reduction(self) -> tuple[tuple[tuple[_Element, ...], ...], ...]:
+        """(E_top, E_bottom): the right block E of rref([A | I_(n-k)]), cut after t rows.
+
+        A is the (n-k)-by-t block theta^i(h_j), h_j = P(g_(k+j)), with full
+        column rank t, so E_top A = I_t and E_bottom A = 0.  Each row holds
+        one coefficient per syndrome row j.
+        """
+        t, r = self.radius, self.n - self.k
         h = [self.annihilator.evaluate(g) for g in self.points[self.k :]]
-        h_block = theta_matrix(self.tower, h, self.radius)
-        return tuple(tuple(-x for x in h_block.column(j)) for j in range(self.n - self.k))
+        h_block = theta_matrix(self.tower, h, t)
+        identity = Matrix.identity(self.tower, r).entries
+        rows = [[*h_block.column(j), *identity[j]] for j in range(r)]
+        reduced, _, pivots = rref(Matrix(self.tower, rows, cols=t + r))
+        if pivots[:t] != list(range(t)):
+            raise AssertionError("the h block of the interpolation system has rank below t")
+        block = tuple(row[t:] for row in reduced.entries)
+        return block[:t], block[t:]
 
     @functools.cached_property
     def point_texts(self) -> tuple[str, ...]:
@@ -140,6 +174,8 @@ class DecodeResult:
     codeword: tuple[_Element, ...] | None = None
     error: tuple[_Element, ...] | None = None
     message: SkewPoly | None = None
+    # which exit a failure took: "no_kernel", "remainder" or "degree"
+    reason: str | None = field(default=None, compare=False)
 
 
 def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> GabCode:
@@ -190,28 +226,38 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
 
     Failure is reported through the result status, never an exception: it
     signals an error of rank weight above the decoding radius.  There are
-    three failure exits: no kernel vector (only when n-k is odd, so that the
-    system is square), a nonzero remainder of the left division, and a
-    quotient of degree k or more.  A success needs no further check: the
-    module docstring shows that its error has rank weight at most t.
+    three failure exits, named by ``reason``: "no_kernel" (only when n-k is
+    odd, so that B is square), "remainder" for a nonzero remainder of the
+    left division, and "degree" for a quotient of degree k or more.  A
+    success needs no further check: the module docstring shows that its
+    error has rank weight at most t.
     """
     received = _coerce_word(code, received)
     tower, t, k = code.tower, code.radius, code.k
     head, syndrome = received[:k], code.syndrome(received)
-    # interpolate V(s_j) = Q(h_j) with h_j = P(g_(k+j)), P the annihilator of
-    # the first k points; columns: Q_0..Q_(t-1) (negated), then V_0..V_t
-    s_block = theta_matrix(tower, syndrome, t + 1)
-    rows = [[*h, *s_block.column(j)] for j, h in enumerate(code.key_columns)]
-    kernel = right_kernel(Matrix(tower, rows, cols=2 * t + 1))
+    # interpolate V(s_j) = Q(h_j): S v = A q with S_ji = theta^i(s_j); E turns
+    # it into B v = 0, B = E_bottom S, and q = E_top S v (module docstring)
+    e_top, e_bottom = code.key_reduction
+    s_block = theta_matrix(tower, syndrome, t + 1).entries  # row i: theta^i(s)
+    b = [[_dot(tower, zip(row, s_i)) for s_i in s_block] for row in e_bottom]
+    kernel = right_kernel(Matrix(tower, b, cols=t + 1))
     if kernel.rows == 0:
-        return DecodeResult(success=False)
-    # the h block has full column rank, so every kernel vector has V != 0
-    vec = kernel.entries[0]
-    locator = SkewPoly(tower, vec[t:])
-    numerator = SkewPoly(tower, vec[:t]) * code.annihilator
+        return DecodeResult(success=False, reason="no_kernel")
+    v = kernel.entries[0]
+    # E_top is zero on the pivot columns of E_bottom: at most t entries of S v count
+    read = {j for row in e_top for j, e in enumerate(row) if e}
+    sv = [
+        _dot(tower, zip(v, (s_i[j] for s_i in s_block))) if j in read else tower.zero
+        for j in range(len(syndrome))
+    ]
+    quotient = [_dot(tower, zip(row, sv)) for row in e_top]
+    locator = SkewPoly(tower, v)
+    numerator = SkewPoly(tower, quotient) * code.annihilator
     message, remainder = left_divide(numerator, locator)
-    if not remainder.is_zero() or message.degree >= k:
-        return DecodeResult(success=False)
+    if not remainder.is_zero():
+        return DecodeResult(success=False, reason="remainder")
+    if message.degree >= k:
+        return DecodeResult(success=False, reason="degree")
     codeword = encode(code, message)
     error = [w - c for w, c in zip([tower.zero] * k + syndrome, codeword)]
     if any(head):
@@ -221,6 +267,20 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     return DecodeResult(
         success=True, codeword=tuple(codeword), error=tuple(error), message=message
     )
+
+
+def _dot(tower: Tower, pairs) -> _Element:
+    """Sum of a * b over the pairs, skipping zero factors; a = one multiplies nothing.
+
+    The ones are the pivots that elimination sets to ``tower.one`` itself, in
+    E_bottom and in the kernel vector, so an identity test finds them.
+    """
+    one, total = tower.one, None
+    for a, b in pairs:
+        if a and b:
+            term = b if a is one else a * b
+            total = term if total is None else total + term
+    return tower.zero if total is None else total
 
 
 def _interpolate(code: GabCode, values: Sequence) -> SkewPoly:

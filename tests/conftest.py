@@ -1,6 +1,6 @@
 """Shared fixtures, matrix helpers, the references the library is checked
-against (full product, linear solve, full-kernel decoder, per-factor msp), and
-height-bounded random generators for the test suite.
+against (full product, linear solve, full-kernel and key-system decoders,
+per-factor msp), and height-bounded random generators for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
 arithmetic never fails, but coefficient growth makes large inputs slow.
@@ -23,6 +23,7 @@ from gabrec import (
     rref,
     theta_matrix,
 )
+from gabrec.gabidulin import _interpolate
 
 
 def mul_vec(matrix, vec):
@@ -81,6 +82,44 @@ def reference_wb_decode(code, received):
     error = [r - c for r, c in zip(received, codeword)]
     if rank_weight(tower, error, "B") > t:
         return DecodeResult(success=False)
+    return DecodeResult(
+        success=True, codeword=tuple(codeword), error=tuple(error), message=message
+    )
+
+
+def reference_key_system_decode(code, received):
+    """Decoder on the whole (n-k)-by-(2t+1) system V(s_j) = Q(h_j), unreduced.
+
+    The library eliminates the constant h block once per code and solves
+    only the (n-k-t)-by-(t+1) rest per decode; this is the system it reduces,
+    with the same failure reasons.
+    """
+    tower, t, k = code.tower, code.radius, code.k
+    received = [tower.coerce(x) for x in received]
+    syndrome = mul_vec(code.parity_check, received)
+    h = [code.annihilator.evaluate(g) for g in code.points[k:]]
+    h_block = theta_matrix(tower, h, t)
+    s_block = theta_matrix(tower, syndrome, t + 1)
+    # columns: Q_0..Q_(t-1) on the negated h block, then V_0..V_t
+    rows = [
+        [*(-x for x in h_block.column(j)), *s_block.column(j)] for j in range(code.n - k)
+    ]
+    kernel = right_kernel(Matrix(tower, rows, cols=2 * t + 1))
+    if kernel.rows == 0:
+        return DecodeResult(success=False, reason="no_kernel")
+    vec = kernel.entries[0]
+    locator = SkewPoly(tower, vec[t:])
+    numerator = SkewPoly(tower, vec[:t]) * code.annihilator
+    message, remainder = left_divide(numerator, locator)
+    if not remainder.is_zero():
+        return DecodeResult(success=False, reason="remainder")
+    if message.degree >= k:
+        return DecodeResult(success=False, reason="degree")
+    codeword = encode(code, message)
+    error = [w - c for w, c in zip([tower.zero] * k + syndrome, codeword)]
+    if any(received[:k]):
+        message = message + _interpolate(code, received[:k])
+        codeword = [r - e for r, e in zip(received, error)]
     return DecodeResult(
         success=True, codeword=tuple(codeword), error=tuple(error), message=message
     )

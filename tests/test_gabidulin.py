@@ -14,10 +14,12 @@ from conftest import (
     rand_error,
     rand_nonzero_element,
     rand_vector,
+    reference_key_system_decode,
     reference_wb_decode,
     solve,
 )
 from gabrec import (
+    DecodeResult,
     Matrix,
     SkewPoly,
     build_code,
@@ -300,15 +302,20 @@ def test_random_syndromes_match_rank_checked_reference(monkeypatch):
     # the rank check, so any success the division alone lets through as a
     # wrong answer shows up as a mismatch.
     exits = collections.Counter()
-    left_divide = gabidulin.left_divide
+    left_divide, wb_decode = gabidulin.left_divide, gabidulin.wb_decode
+    remainders, results = [], []
 
-    def spy(numerator, locator):
+    def divide_spy(numerator, locator):
         quotient, remainder = left_divide(numerator, locator)
-        exits["division"] += 1
-        exits["nonzero remainder"] += not remainder.is_zero()
+        remainders.append(remainder)
         return quotient, remainder
 
-    monkeypatch.setattr(gabidulin, "left_divide", spy)
+    def decode_spy(code, word):
+        results.append(wb_decode(code, word))
+        return results[-1]
+
+    monkeypatch.setattr(gabidulin, "left_divide", divide_spy)
+    monkeypatch.setattr(gabidulin, "wb_decode", decode_spy)
     rng = random.Random(15)
     for spec in ORACLE_TOWERS:
         tower = make_tower(*spec)
@@ -317,18 +324,102 @@ def test_random_syndromes_match_rank_checked_reference(monkeypatch):
             code = build_code(tower, n, k)
             for _ in range(2 if n > 6 else 4):
                 syndrome = rand_vector(tower, rng, n - k, height=3)
-                divisions = exits["division"]
+                remainders.clear()
                 recovered = syndrome_decode(code, syndrome)
                 reference = reference_wb_decode(code, [tower.zero] * k + syndrome)
                 assert recovered == (list(reference.error) if reference.success else None)
                 if recovered is not None:
                     assert mul_vec(code.parity_check, recovered) == syndrome
                     assert rank_weight(tower, recovered, "B") <= code.radius
-                elif exits["division"] == divisions:
+                    reason = None
+                elif not remainders:
                     # the interpolation system is square only when n-k is odd
                     assert (n - k) % 2 == 1, (spec, k)
-                    exits["no kernel"] += 1
-    assert exits["no kernel"] > 0 and exits["nonzero remainder"] > 0, exits
+                    reason = "no_kernel"
+                else:
+                    reason = "degree" if remainders[0].is_zero() else "remainder"
+                assert results[-1].reason == reason, (spec, k)
+                exits[reason] += 1
+    assert exits["no_kernel"] > 0 and exits["remainder"] > 0, exits
+
+
+def test_word_of_degree_k_fails_by_degree():
+    # The word (c P)(g), P = msp(g_0, ..., g_(k-1)), has syndrome s = c h, so
+    # V = 1, Q = c solves the system first and the exact quotient c P has
+    # degree k.  No codeword lies within t of it: every solution would
+    # then divide to the same message of degree below k.
+    rng = random.Random(17)
+    for tower in (make_tower("cyclotomic", 7), make_tower("kummer", 4)):
+        n = tower.m
+        for k in range(1, n - 1):
+            code = build_code(tower, n, k)
+            c = SkewPoly.constant(tower, rand_nonzero_element(tower, rng, 3))
+            word = [(c * code.annihilator).evaluate(g) for g in code.points]
+            result = wb_decode(code, word)
+            assert result == DecodeResult(success=False)
+            assert result.reason == "degree"
+            assert reference_key_system_decode(code, word).reason == "degree"
+            assert not reference_wb_decode(code, word).success
+
+
+@pytest.mark.parametrize("spec", ORACLE_TOWERS, ids=lambda p: ":".join(map(str, p)))
+def test_decode_matches_key_system_reference(spec):
+    # The decoder eliminates the h block A once per code; the reference solves
+    # the whole (n-k)-by-(2t+1) system per word.  Reduced echelon forms are
+    # unique, so both take the same kernel vector: planted errors of every
+    # weight up to one past n-k and random syndromes beyond the radius.
+    tower = make_tower(*spec)
+    rng = random.Random(16)
+    n = tower.m
+    for k in range(1, n + 1):
+        code = build_code(tower, n, k)
+        words = []
+        for weight in range(n - k + 2):
+            c = encode(code, rand_message(code, rng, height=2))
+            e = rand_error(tower, rng, n, weight, height=2)
+            words.append([ci + ei for ci, ei in zip(c, e)])
+        words.append([tower.zero] * k + rand_vector(tower, rng, n - k, height=3))
+        for word in words:
+            result = wb_decode(code, word)
+            reference = reference_key_system_decode(code, word)
+            assert result == reference
+            assert result.reason == reference.reason
+
+
+def test_locator_is_the_error_span_annihilator(monkeypatch):
+    # Within the radius the first free column gives the kernel vector whose
+    # V has the least degree: monic of degree rank(e) and zero on every
+    # entry of e, so V = msp(e).  Any other kernel vector decodes the same
+    # word to the same result, so only the locator tells them apart.
+    locators = []
+    left_divide = gabidulin.left_divide
+
+    def spy(numerator, locator):
+        locators.append(locator)
+        return left_divide(numerator, locator)
+
+    monkeypatch.setattr(gabidulin, "left_divide", spy)
+    rng = random.Random(18)
+    for tower in (make_tower("cyclotomic", 7), make_tower("kummer", 4)):
+        n = tower.m
+        for k in range(1, n + 1):
+            code = build_code(tower, n, k)
+            for weight in range(code.radius + 1):
+                c = encode(code, rand_message(code, rng, height=2))
+                e = rand_error(tower, rng, n, weight, height=2)
+                assert wb_decode(code, [ci + ei for ci, ei in zip(c, e)]).success
+                assert locators[-1] == msp(tower, e)
+
+
+def test_key_reduction_rejects_a_rank_deficient_h_block(code5, monkeypatch):
+    code = dataclasses.replace(code5)
+    monkeypatch.setattr(
+        gabidulin,
+        "theta_matrix",
+        lambda tower, vector, s: Matrix(tower, [[tower.zero] * len(vector)] * s, cols=len(vector)),
+    )
+    with pytest.raises(AssertionError):
+        code.key_reduction
 
 
 def test_syndrome_length_validation(code5):
@@ -406,7 +497,7 @@ def test_decode_scale_instance():
     assert list(result.error) == e
 
 
-CACHED = ("annihilators", "annihilator", "key_columns", "point_texts")
+CACHED = ("annihilators", "annihilator", "key_reduction", "point_texts")
 CACHE_TOWERS = [
     ("cyclotomic", 5),
     ("cyclotomic", 7),
@@ -426,10 +517,16 @@ def test_cached_code_constants_match_fresh_computation(params):
         p = msp(tower, points[:k])
         assert code.annihilator == p
         assert code.annihilator is code.annihilator
+        # E A = (I_t; 0) with E invertible, for A_ji = theta^i(h_j): any such
+        # E gives the decoder the same kernel vector and numerator
         h_block = theta_matrix(tower, [p.evaluate(g) for g in points[k:]], t)
-        assert code.key_columns == tuple(
-            tuple(-x for x in h_block.column(j)) for j in range(code.n - k)
-        )
+        e_top, e_bottom = code.key_reduction
+        assert (len(e_top), len(e_bottom)) == (t, code.n - k - t)
+        assert [mul_vec(h_block, row) for row in e_top] == [
+            [tower.one if i == j else tower.zero for j in range(t)] for i in range(t)
+        ]
+        assert not any(x for row in e_bottom for x in mul_vec(h_block, row))
+        assert rank(Matrix(tower, e_top + e_bottom, cols=code.n - k)) == code.n - k
         for i, basis in enumerate(code.annihilators):
             assert basis.degree == i
             assert not any(basis.evaluate(g) for g in points[:i])
