@@ -47,7 +47,10 @@ rows pivoting on the Q columns and reduces the rest to rref(B), so the
 free columns are those of B and the V part of each kernel vector is built
 from rref(B) alone.  The q of a given v is unique, as A has full column
 rank.  The first free column also gives the V of least degree; within the
-radius that is the monic annihilator of the error's entries.
+radius that is the monic annihilator of the error's entries.  The decoder
+computes that vector with ``first_kernel_vector``, which eliminates B
+without division and inverts each pivot once; it is the vector rref(B)
+gives, bit for bit, with V monic and its lead the field's one itself.
 
 The exact division certifies the answer, so the decoder does not re-check
 the error's rank.  It accepts only when N = V * f with V != 0, deg V <= t
@@ -77,7 +80,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_algebra import Tower, _Element, make_tower
-from .exact_linalg import Matrix, right_kernel, rref
+from .exact_linalg import Matrix, first_kernel_vector, right_kernel, rref
 from .rank_metric import ext, theta_matrix
 from .skew_poly import SkewPoly, _annihilator_chain, left_divide
 
@@ -240,10 +243,9 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     e_top, e_bottom = code.key_reduction
     s_block = theta_matrix(tower, syndrome, t + 1).entries  # row i: theta^i(s)
     b = [[_dot(tower, zip(row, s_i)) for s_i in s_block] for row in e_bottom]
-    kernel = right_kernel(Matrix(tower, b, cols=t + 1))
-    if kernel.rows == 0:
+    v = first_kernel_vector(Matrix(tower, b, cols=t + 1))
+    if v is None:
         return DecodeResult(success=False, reason="no_kernel")
-    v = kernel.entries[0]
     # E_top is zero on the pivot columns of E_bottom: at most t entries of S v count
     read = {j for row in e_top for j, e in enumerate(row) if e}
     sv = [

@@ -153,12 +153,15 @@ def left_divide(n: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         raise ValueError("tower mismatch")
     tower = n.tower
     dv = v.degree
-    lead_inv = v.coeffs[-1].inverse()
+    # a monic divisor whose lead is the field's one itself needs no inverse
+    lead = v.coeffs[-1]
+    lead_inv = None if lead is tower.one else lead.inverse()
     q = SkewPoly(tower)
     r = n
     while not r.is_zero() and r.degree >= dv:
         shift = r.degree - dv
-        c = (lead_inv * r.coeffs[-1]).theta(-dv)
+        top = r.coeffs[-1]
+        c = (top if lead_inv is None else lead_inv * top).theta(-dv)
         term = SkewPoly.monomial(tower, c, shift)
         q = q + term
         r = r - v * term

@@ -1,0 +1,125 @@
+"""Mutation check of the decoder's solver and certificates.
+
+    python3 tests/mutants.py
+
+Each mutant below is one textual change to one file of ``src/gabrec``,
+with the tests expected to catch it.  For each mutant the script copies
+``src/gabrec``, ``tests`` and ``pyproject.toml`` to a temporary directory,
+replaces the one occurrence of the old text there and runs the listed
+tests on that copy with pytest (needs pytest and hypothesis, like the
+suite).  A mutant is killed when a test fails, or when the tests run past
+``TIMEOUT_S``: a divisor whose lead is never inverted makes ``left_divide``
+loop, and the listed tests take a few seconds on the unmutated code.  The
+script exits 1 when a mutant survives, when its old text does not occur
+exactly once, or when pytest ends in any other way, such as a collection
+error, which kills nothing.  Standard library only.
+
+Two mutants of the key reduction are equivalent and left out.  Dropping
+column 0 from the entries of S v that E_top reads changes nothing: rows
+1.. of the h block already have rank t, so column 0 is always the first
+pivot of E_bottom and E_top is zero there.  Taking v from the last free
+column of B in place of the first changes only the locator's degree.
+The solutions (V, Q) form a left module, so every kernel vector is a left
+multiple of the least one and divides to the same quotient, with a
+remainder that is zero exactly when the least one's is: the decoded error
+and the failure exit stay the same.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 30
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/gabrec
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+LINALG = ("tests/test_exact_linalg.py",)
+SKEW = ("tests/test_skew_poly.py",)
+DECODE = ("tests/test_gabidulin.py",)
+
+MUTANTS = (
+    Mutant("kernel: skip the row swap", "exact_linalg.py",
+           "rows[f], rows[pivot_row] = rows[pivot_row], rows[f]", "pass", LINALG),
+    Mutant("kernel: drop the pivot factor in the update", "exact_linalg.py",
+           "[p * x - a * y for x, y in", "[x - a * y for x, y in", LINALG),
+    Mutant("kernel: skip the pivot inverse", "exact_linalg.py",
+           "v[i] = -(total * _invert(row[i]))", "v[i] = -total", LINALG),
+    Mutant("kernel: drop the back-substitution terms", "exact_linalg.py",
+           "total = total + row[c] * v[c]", "pass", LINALG),
+    Mutant("kernel: eliminate only the next row", "exact_linalg.py",
+           "for row in rows[f + 1 :]:", "for row in rows[f + 1 : f + 2]:", LINALG),
+    Mutant("left_divide: never invert the lead", "skew_poly.py",
+           "lead_inv = None if lead is tower.one else lead.inverse()", "lead_inv = None", SKEW),
+    Mutant("decode: Q = 0", "gabidulin.py",
+           "quotient = [_dot(tower, zip(row, sv)) for row in e_top]",
+           "quotient = [tower.zero for row in e_top]", DECODE),
+    Mutant("decode: E split at t+1", "gabidulin.py",
+           "return block[:t], block[t:]", "return block[: t + 1], block[t + 1 :]", DECODE),
+    Mutant("decode: E split at t-1", "gabidulin.py",
+           "return block[:t], block[t:]", "return block[: t - 1], block[t - 1 :]", DECODE),
+    Mutant("decode: skip the terms with an exact-one factor in _dot", "gabidulin.py",
+           "        if a and b:\n", "        if a and b and a is not one:\n", DECODE),
+    Mutant("decode: drop the degree exit", "gabidulin.py",
+           "    if message.degree >= k:\n", "    if False:\n", DECODE),
+)
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed: ' and the first failing test, or what else happened."""
+    with tempfile.TemporaryDirectory(prefix="gabrec-mutant-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src" / "gabrec", copy / "src" / "gabrec",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", copy / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / "src" / "gabrec" / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return f"old text occurs {text.count(mutant.old)} times, not once"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                   *mutant.tests]
+        try:
+            done = subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"killed: tests ran past {TIMEOUT_S} s"
+    if done.returncode == 1:  # pytest: some test failed
+        failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+        return "killed: " + (failed[0].split()[1] if failed else "a test failed")
+    if done.returncode == 0:
+        return "survived"
+    tail = done.stdout.strip().splitlines()[-1:] or ["no output"]
+    return f"pytest exit {done.returncode}: {tail[0]}"
+
+
+def main() -> int:
+    failures = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = run_mutant(mutant)
+        print(f"{time.perf_counter() - start:5.1f} s  {mutant.name}\n        {outcome}", flush=True)
+        failures += not outcome.startswith("killed")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

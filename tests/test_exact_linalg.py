@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import mul_vec, rand_element, solve, zero_matrix
-from gabrec import Matrix, QQ, format_matrix, parse_matrix, rank, right_kernel, rref
+from gabrec import Matrix, QQ, format_matrix, make_tower, parse_matrix, rank, right_kernel, rref
+from gabrec.exact_linalg import first_kernel_vector
 
 
 def qq_matrix(rows):
@@ -62,20 +63,32 @@ def test_right_kernel_full_rank():
     assert kernel.shape == (0, 4)
 
 
-def test_right_kernel_annihilates(zeta5):
+def test_right_kernel_annihilates(zeta5, kummer4):
     rng = random.Random(0)
-    for _ in range(15):
-        m = rand_qq_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+
+    def check(m):
         kernel = right_kernel(m)
         assert kernel.rows + rank(m) == m.cols
         for row in kernel.entries:
             assert all(not v for v in mul_vec(m, row))
+        assert first_kernel_vector(m) == (kernel.entries[0] if kernel.rows else None)
+
+    for _ in range(15):
+        check(rand_qq_matrix(rng, rng.randint(1, 5), rng.randint(1, 6)))
     # over the extension field as well
-    entries = [[rand_element(zeta5, rng, 3) for _ in range(4)] for _ in range(2)]
-    m = Matrix(zeta5, entries, cols=4)
-    kernel = right_kernel(m)
-    for row in kernel.entries:
-        assert all(not v for v in mul_vec(m, row))
+    check(Matrix(zeta5, [[rand_element(zeta5, rng, 3) for _ in range(4)] for _ in range(2)]))
+    # tall entries, half of them zero: all-zero matrices, zero leading entries
+    # that need a row swap, rank-deficient and square full-rank cases
+    for tower in (zeta5, kummer4, make_tower("cyclotomic", 7)):
+        for _ in range(12):
+            rows = rng.randint(1, 4)
+            cols = max(1, rows + rng.randint(-1, 1))
+            entries = [
+                [rand_element(tower, rng, 2**64) if rng.random() < 0.5 else tower.zero
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            check(Matrix(tower, entries, cols=cols))
 
 
 def test_rank_transpose_invariant():
