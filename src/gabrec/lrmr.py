@@ -2,13 +2,9 @@
 
 The measurement operator folds an m-by-n matrix over K into the vector of
 parity-check coordinates of the corresponding L-vector; it is K-linear and
-produces exactly n*(n-k) base-field numbers.  Recovery inverts the fold and
+produces exactly m*(n-k) base-field numbers.  Recovery inverts the fold and
 hands the syndrome to the bounded-minimum-distance decoder, so matrices of
 rank up to floor((n-k)/2) come back bit-exact.
-
-Both public pipeline entry points insist on n = m: the fold of a length
-(n-k) syndrome has m rows, and only square instances make the measurement
-count n*(n-k) line up with it.  The decoder itself has no such restriction.
 
 Approximation of real or complex floating matrices into the exact base
 field runs per entry through continued-fraction convergents, with the
@@ -53,13 +49,6 @@ class MeasurementRecord:
     y: tuple
     code_descriptor: dict
 
-    def __post_init__(self):
-        expected = self.code_descriptor["n"] * (
-            self.code_descriptor["n"] - self.code_descriptor["k"]
-        )
-        if len(self.y) != expected:
-            raise ValueError(f"measurement length {len(self.y)}, expected {expected}")
-
 
 @dataclass(frozen=True)
 class LowRankInstance:
@@ -67,17 +56,9 @@ class LowRankInstance:
     planted_rank: int
 
 
-def _require_pipeline_shape(code: GabCode) -> None:
-    if code.n != code.tower.m:
-        raise ValueError(
-            f"the recovery pipeline needs n = m, got n={code.n}, m={code.tower.m}"
-        )
-
-
 def measure(code: GabCode, matrix: Matrix) -> MeasurementRecord:
     """K-linear measurement of an m-by-n matrix over the code's base field."""
     tower = code.tower
-    _require_pipeline_shape(code)
     if matrix.field != tower.scalar_field:
         raise ValueError("matrix entries must lie in the code's base field")
     if matrix.shape != (tower.m, code.n):
@@ -95,14 +76,12 @@ def recover(code: GabCode, record: MeasurementRecord) -> Matrix | None:
     error of rank at most t.
     """
     tower = code.tower
-    _require_pipeline_shape(code)
     if record.code_descriptor != code_to_descriptor(code):
         raise ValueError("measurement was taken under a different code")
-    m = tower.m
-    syndrome = [
-        tower.from_coords(record.y[i * m : (i + 1) * m])
-        for i in range(code.n - code.k)
-    ]
+    m, r = tower.m, code.n - code.k
+    if len(record.y) != m * r:
+        raise ValueError(f"measurement length {len(record.y)}, expected {m * r}")
+    syndrome = [tower.from_coords(record.y[i * m : (i + 1) * m]) for i in range(r)]
     error = syndrome_decode(code, syndrome)
     if error is None:
         return None

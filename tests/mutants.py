@@ -1,4 +1,5 @@
-"""Mutation check of the decoder's solver and certificates.
+"""Mutation check of the decoder, the checks that build codes and towers,
+and the record check of ``recover``.
 
     python3 tests/mutants.py
 
@@ -23,6 +24,12 @@ The solutions (V, Q) form a left module, so every kernel vector is a left
 multiple of the least one and divides to the same quotient, with a
 remainder that is zero exactly when the least one's is: the decoded error
 and the failure exit stay the same.
+
+One mutant of the inverse is equivalent and left out: dropping the
+positive-norm check of ``CyclotomicField._divide_by_norm``.  The norm of
+a nonzero element of Q(zeta_n) is always a positive integer, since the
+field has no real embedding and its conjugates pair up as complex
+conjugates, so the check fires only on an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ class Mutant(NamedTuple):
 LINALG = ("tests/test_exact_linalg.py",)
 SKEW = ("tests/test_skew_poly.py",)
 DECODE = ("tests/test_gabidulin.py",)
+ALGEBRA = ("tests/test_exact_algebra.py",)
+RANK = ("tests/test_rank_metric.py",)
+RECORD = ("tests/test_lrmr.py::test_recover_validates_record",)
 
 MUTANTS = (
     Mutant("kernel: skip the row swap", "exact_linalg.py",
@@ -76,6 +86,24 @@ MUTANTS = (
            "        if a and b:\n", "        if a and b and a is not one:\n", DECODE),
     Mutant("decode: drop the degree exit", "gabidulin.py",
            "    if message.degree >= k:\n", "    if False:\n", DECODE),
+    Mutant("decode: drop the remainder exit", "gabidulin.py",
+           "    if not remainder.is_zero():\n", "    if False:\n", DECODE),
+    Mutant("code: radius one too large", "gabidulin.py",
+           "return (self.n - self.k) // 2", "return (self.n - self.k) // 2 + 1", DECODE),
+    Mutant("code: skip the identity-block check", "gabidulin.py",
+           "if tuple(row[k:] for row in parity_check.entries) != identity:", "if False:",
+           DECODE),
+    Mutant("key reduction: skip the pivot check", "gabidulin.py",
+           "if pivots[:t] != list(range(t)):", "if False:", DECODE),
+    Mutant("theta_matrix: start one iterate late", "rank_metric.py",
+           "row = [tower.coerce(x) for x in vector]",
+           "row = [tower.coerce(x).theta() for x in vector]", RANK),
+    Mutant("tower: skip the radicand check", "exact_algebra.py",
+           "        self._check_radicand(n, radicand)\n", "", ALGEBRA),
+    Mutant("Kummer inverse: skip the norm-in-K check", "exact_algebra.py",
+           "if not any(norm[:d]) or any(norm[d:]):", "if False:", ALGEBRA),
+    Mutant("recover: skip the record length check", "lrmr.py",
+           "if len(record.y) != m * r:", "if False:", RECORD),
 )
 
 

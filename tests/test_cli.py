@@ -95,8 +95,14 @@ def test_demo_usage_errors(tmp_path):
     assert main(["demo", "--trials", "0"]) == USAGE_ERROR
     assert main(["demo", "--rank", "5"]) == USAGE_ERROR
     assert main(["nonsense"]) == USAGE_ERROR
-    with pytest.raises(ValueError, match="n = m"):
-        run_experiment(ExperimentConfig("cyclotomic:5", 3, 2, 1, 1, 0, 5))
+    # build_code decides the legal lengths, k <= n <= m
+    with pytest.raises(ValueError, match="exceeds the extension degree"):
+        run_experiment(ExperimentConfig("cyclotomic:5", 5, 2, 1, 1, 0, 5))
+    with pytest.raises(ValueError, match="k <= n"):
+        run_experiment(ExperimentConfig("cyclotomic:5", 1, 2, 1, 1, 0, 5))
+    report = run_experiment(ExperimentConfig("cyclotomic:5", 3, 2, 1, 1, 0, 5))
+    assert report["config"]["n"] == 3
+    assert report["summary"]["verificationFailures"] == 0
 
 
 def test_demo_takes_n_from_tower(capsys):

@@ -75,13 +75,16 @@ def test_measure_is_linear(code5, code_k4):
 
 
 def test_measure_validates_input(code5, zeta5, kummer4):
+    # measure takes exactly the m-by-n matrices over K, for every n <= m
     with pytest.raises(ValueError):
         measure(code5, zero_matrix(QQ, 3, 4))
     with pytest.raises(ValueError):
         measure(code5, zero_matrix(kummer4.scalar_field, 4, 4))
     small = build_code(zeta5, 2, 1)
-    with pytest.raises(ValueError):
-        measure(small, zero_matrix(QQ, 4, 2))  # pipeline needs n = m
+    assert measure(small, zero_matrix(QQ, 4, 2)).y == (0,) * 4  # m*(n-k) numbers
+    for rows, cols in ((4, 3), (2, 2)):
+        with pytest.raises(ValueError, match="matrix"):
+            measure(small, zero_matrix(QQ, rows, cols))
 
 
 def test_recover_roundtrip(code5, code_k4):
@@ -93,6 +96,31 @@ def test_recover_roundtrip(code5, code_k4):
                 instance = random_low_rank(4, 4, r, 10, rng=rng, field=field)
                 record = measure(code, instance.matrix)
                 assert recover(code, record) == instance.matrix
+
+
+@pytest.mark.parametrize(
+    "spec, n, k, r",
+    [
+        ("cyclotomic:11", 6, 2, 2),
+        ("cyclotomic:13", 8, 2, 3),
+        ("kummer:4", 3, 1, 1),
+        ("kummer:12", 6, 2, 2),
+    ],
+)
+def test_recover_rectangular_roundtrip(spec, n, k, r):
+    # n < m: an m-by-n matrix of rank t = (n-k)//2 measures into m*(n-k)
+    # numbers and comes back exactly, also through the JSON record
+    tower = tower_from_spec(spec)
+    code = build_code(tower, n, k)
+    field = tower.scalar_field
+    rng = random.Random(9)
+    for _ in range(3):
+        instance = random_low_rank(tower.m, n, r, 10, rng=rng, field=field)
+        record = measure(code, instance.matrix)
+        assert len(record.y) == tower.m * (n - k)
+        payload = record_to_json(record, field)
+        assert record_from_json(payload, field) == record
+        assert recover(code, record_from_json(payload, field)) == instance.matrix
 
 
 def test_recover_kummer12_full_size():
@@ -159,29 +187,35 @@ PIPELINE_TOWERS = ["cyclotomic:5", "cyclotomic:7", "cyclotomic:11", "kummer:4"]
 
 
 @functools.cache
-def pipeline_code(spec, k):
-    tower = tower_from_spec(spec)
-    return build_code(tower, tower.m, k)
+def pipeline_tower(spec):
+    return tower_from_spec(spec)
+
+
+@functools.cache
+def pipeline_code(spec, n, k):
+    return build_code(pipeline_tower(spec), n, k)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(st.data())
 def test_pipeline_property(data):
-    # rank <= t recovers exactly; beyond t, and for a uniformly random record
-    # that no planted matrix need reach, None or a rank <= t matrix with the
-    # same measurement
+    # for every k <= n <= m: rank <= t recovers exactly; beyond t, and for a
+    # uniformly random record that no planted matrix need reach, None or a
+    # rank <= t matrix with the same measurement
     spec = data.draw(st.sampled_from(PIPELINE_TOWERS))
-    m = pipeline_code(spec, 1).n
-    code = pipeline_code(spec, data.draw(st.integers(1, m)))
-    planted = None if data.draw(st.booleans()) else data.draw(st.integers(0, m - code.k))
+    m = pipeline_tower(spec).m
+    k = data.draw(st.integers(1, m))
+    n = data.draw(st.integers(k, m))
+    code = pipeline_code(spec, n, k)
+    planted = None if data.draw(st.booleans()) else data.draw(st.integers(0, n - k))
     height = data.draw(st.integers(1, 5))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     if planted is None:
-        y = [rand_scalar(code.tower, rng, height) for _ in range(m * (m - code.k))]
+        y = [rand_scalar(code.tower, rng, height) for _ in range(m * (n - k))]
         record = MeasurementRecord(tuple(y), code_to_descriptor(code))
     else:
         field = code.tower.scalar_field
-        matrix = random_low_rank(m, m, planted, height, rng=rng, field=field).matrix
+        matrix = random_low_rank(m, n, planted, height, rng=rng, field=field).matrix
         record = measure(code, matrix)
     result = recover(code, record)
     if planted is not None and planted <= code.radius:
@@ -192,11 +226,21 @@ def test_pipeline_property(data):
 
 
 def test_recover_validates_record(code5, code_k4):
+    # recover takes exactly the m*(n-k) numbers of a record of its own code,
+    # on a square code and on a rectangular one; an extra number is never
+    # silently ignored
     record = measure(code_k4, zero_matrix(code_k4.tower.scalar_field, 4, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different code"):
         recover(code5, record)
-    with pytest.raises(ValueError):
-        MeasurementRecord((Fraction(0),) * 5, record.code_descriptor)
+    rng = random.Random(10)
+    for code in (code5, build_code(tower_from_spec("cyclotomic:11"), 6, 2)):
+        m = code.tower.m
+        planted = random_low_rank(m, code.n, 1, 5, rng=rng).matrix
+        y = measure(code, planted).y
+        assert len(y) == m * (code.n - code.k)
+        for wrong in (y + (Fraction(1),), y[:-1]):
+            with pytest.raises(ValueError, match="measurement length"):
+                recover(code, MeasurementRecord(wrong, code_to_descriptor(code)))
 
 
 def test_random_low_rank_ranks():
