@@ -66,10 +66,9 @@ H e = H w = s, because f(g) is a codeword.
 The code is the measurement operator: every record is measured and
 recovered under one code.  So what depends only on the code is computed
 once per ``GabCode``, on first use, and kept on the instance: P, the
-reduction E of the h block above, the chain of prefix annihilators that
-also gives the Newton bases for a word with a nonzero head, and the points'
-text forms for ``code_to_descriptor``.  ``build_code`` computes none of
-them, so a code that only measures never pays for P and E.
+reduction E of the h block above, and the points' text forms for
+``code_to_descriptor``.  ``build_code`` computes none of them, so a code
+that only measures never pays for P and E.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_algebra import Tower, _Element, make_tower
-from .exact_linalg import Matrix, first_kernel_vector, right_kernel, rref
+from .exact_linalg import Matrix, _dot, first_kernel_vector, right_kernel, rref
 from .rank_metric import ext, theta_matrix
-from .skew_poly import SkewPoly, _annihilator_chain, left_divide
+from .skew_poly import SkewPoly, left_divide, msp
 
 __all__ = [
     "GabCode",
@@ -101,10 +100,10 @@ class GabCode:
     """Immutable code instance; build with :func:`build_code`.
 
     The cached properties hold values that depend only on the code:
-    ``annihilators`` (the Newton bases), ``annihilator`` (P),
-    ``key_reduction`` (E_top and E_bottom) and ``point_texts``.  Each is
-    computed on first use and kept in the instance ``__dict__``, outside the
-    dataclass fields, so equality and ``dataclasses.replace`` ignore them.
+    ``annihilator`` (P), ``key_reduction`` (E_top and E_bottom) and
+    ``point_texts``.  Each is computed on first use and kept in the instance
+    ``__dict__``, outside the dataclass fields, so equality and
+    ``dataclasses.replace`` ignore them.
     ``build_code`` leaves them uncomputed: computing P and h there made
     ``build_code`` 52-80% slower on the benchmark workloads, also for codes
     that are never decoded.
@@ -127,14 +126,9 @@ class GabCode:
         return self.n - self.k + 1
 
     @functools.cached_property
-    def annihilators(self) -> tuple[SkewPoly, ...]:
-        """Annihilators of points[:i] for i = 0..k, not monic; the Newton bases."""
-        return tuple(_annihilator_chain(self.tower, self.points[: self.k]))
-
-    @functools.cached_property
     def annihilator(self) -> SkewPoly:
         """P = msp(g_0, ..., g_(k-1)), of degree k."""
-        return self.annihilators[-1].monic()
+        return msp(self.tower, self.points[: self.k])
 
     @functools.cached_property
     def key_reduction(self) -> tuple[tuple[tuple[_Element, ...], ...], ...]:
@@ -166,7 +160,7 @@ class GabCode:
         if not any(head):
             return tail
         return [
-            s + sum((h * x for h, x in zip(row, head)), self.tower.zero)
+            s + _dot(self.tower, zip(row, head))
             for s, row in zip(tail, self.parity_check.entries)
         ]
 
@@ -212,8 +206,7 @@ def encode(code: GabCode, message: SkewPoly) -> list[_Element]:
     if message.degree >= code.k:
         raise ValueError(f"message degree {message.degree} not below k={code.k}")
     return [
-        sum((c * g for c, g in zip(message.coeffs, column) if c), code.tower.zero)
-        for column in zip(*code.generator.entries)
+        _dot(code.tower, zip(message.coeffs, column)) for column in zip(*code.generator.entries)
     ]
 
 
@@ -271,30 +264,17 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     )
 
 
-def _dot(tower: Tower, pairs) -> _Element:
-    """Sum of a * b over the pairs, skipping zero factors; a = one multiplies nothing.
-
-    The ones are the pivots that elimination sets to ``tower.one`` itself, in
-    E_bottom and in the kernel vector, so an identity test finds them.
-    """
-    one, total = tower.one, None
-    for a, b in pairs:
-        if a and b:
-            term = b if a is one else a * b
-            total = term if total is None else total + term
-    return tower.zero if total is None else total
-
-
 def _interpolate(code: GabCode, values: Sequence) -> SkewPoly:
     """Polynomial of degree < k with the given values at the first k points.
 
-    Newton form on the code's prefix annihilators; the form does not depend
-    on how each basis is scaled, so they need not be monic.
+    Its coefficients f solve f G[:, :k] = values, one ``rref`` of the
+    k-by-(k+1) system.  The head block G[:, :k] is invertible: ``build_code``
+    certifies that G pivots on its first k columns.
     """
-    poly = SkewPoly(code.tower)
-    for g, v, basis in zip(code.points, values, code.annihilators):
-        poly = poly + ((v - poly.evaluate(g)) / basis.evaluate(g)) * basis
-    return poly
+    k = code.k
+    rows = [[*code.generator.column(j), x] for j, x in enumerate(values)]
+    reduced = rref(Matrix(code.tower, rows, cols=k + 1))[0]
+    return SkewPoly(code.tower, [row[k] for row in reduced.entries])
 
 
 def syndrome_decode(code: GabCode, syndrome: Sequence) -> list[_Element] | None:

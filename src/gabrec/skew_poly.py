@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .exact_algebra import Tower, _Element, _split_tuple
+from .exact_linalg import _dot
 
 __all__ = ["SkewPoly", "left_divide", "msp", "format_poly", "parse_poly"]
 
@@ -122,15 +123,10 @@ class SkewPoly:
 
     def evaluate(self, g) -> _Element:
         """Operator evaluation sum(a_i * theta^i(g)); K-linear in g."""
-        g = self.tower.coerce(g)
-        acc = self.tower.zero
-        power = g
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power.theta()
-            if c:
-                acc = acc + c * power
-        return acc
+        powers = [self.tower.coerce(g)]
+        for _ in self.coeffs[1:]:
+            powers.append(powers[-1].theta())
+        return _dot(self.tower, zip(self.coeffs, powers))
 
     def monic(self) -> "SkewPoly":
         if self.is_zero():
@@ -144,8 +140,12 @@ class SkewPoly:
 def left_divide(n: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     """Quotient and remainder with n = v*q + r and deg r < deg v.
 
-    Eliminating the top coefficient divides by theta^(deg v) of the would-be
-    quotient coefficient, which is why the twist shows up below.
+    Works on coefficient lists, from the top shift down.  The quotient term
+    c x^shift takes v * c x^shift = sum_i v_i theta^i(c) x^(shift+i) off the
+    remainder.  c is chosen so that the top term v_dv theta^dv(c) equals the
+    remainder's coefficient at shift + dv, which is why the twist
+    theta^(-dv) shows up below; that coefficient cancels exactly and is
+    never computed.
     """
     if v.is_zero():
         raise ZeroDivisionError("left division by the zero polynomial")
@@ -156,16 +156,17 @@ def left_divide(n: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     # a monic divisor whose lead is the field's one itself needs no inverse
     lead = v.coeffs[-1]
     lead_inv = None if lead is tower.one else lead.inverse()
-    q = SkewPoly(tower)
-    r = n
-    while not r.is_zero() and r.degree >= dv:
-        shift = r.degree - dv
-        top = r.coeffs[-1]
-        c = (top if lead_inv is None else lead_inv * top).theta(-dv)
-        term = SkewPoly.monomial(tower, c, shift)
-        q = q + term
-        r = r - v * term
-    return q, r
+    r = list(n.coeffs)
+    q = [tower.zero] * (len(r) - dv)  # empty when deg n < deg v
+    for shift in range(len(q) - 1, -1, -1):
+        top = r[shift + dv]
+        if not top:
+            continue
+        c = q[shift] = (top if lead_inv is None else lead_inv * top).theta(-dv)
+        for i, v_i in enumerate(v.coeffs[:dv]):
+            if v_i:
+                r[shift + i] = r[shift + i] - v_i * c.theta(i)
+    return SkewPoly(tower, q), SkewPoly(tower, r[:dv])
 
 
 def msp(tower: Tower, elements: Sequence) -> SkewPoly:
@@ -177,25 +178,12 @@ def msp(tower: Tower, elements: Sequence) -> SkewPoly:
     the monic annihilator is unique, so one normalisation at the end gives
     it with a single inversion.
     """
-    return _annihilator_chain(tower, elements)[-1].monic()
-
-
-def _annihilator_chain(tower: Tower, elements: Sequence) -> list[SkewPoly]:
-    """Annihilators of the prefixes of the elements, from the constant 1 up.
-
-    Entry i vanishes on the K-span of elements[:i], with degree its
-    K-dimension: it is entry i-1 if that vanishes at elements[i-1], and
-    otherwise (w x - theta(w)) times entry i-1, w the value there.  The
-    entries are not monic.
-    """
-    chain = [SkewPoly.constant(tower, tower.one)]
+    poly = SkewPoly.constant(tower, tower.one)
     for v in elements:
-        poly = chain[-1]
         w = poly.evaluate(v)
         if w:
             poly = SkewPoly(tower, [-w.theta(), w]) * poly
-        chain.append(poly)
-    return chain
+    return poly.monic()
 
 
 def format_poly(p: SkewPoly) -> str:

@@ -1,6 +1,7 @@
 """Shared fixtures, matrix helpers, the references the library is checked
 against (full product, linear solve, full-kernel and key-system decoders,
-per-factor msp), and height-bounded random generators for the test suite.
+Newton interpolation, per-factor msp), and height-bounded random generators
+for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
 arithmetic never fails, but coefficient growth makes large inputs slow.
@@ -18,12 +19,12 @@ from gabrec import (
     encode,
     left_divide,
     make_tower,
+    msp,
     rank_weight,
     right_kernel,
     rref,
     theta_matrix,
 )
-from gabrec.gabidulin import _interpolate
 
 
 def mul_vec(matrix, vec):
@@ -118,11 +119,25 @@ def reference_key_system_decode(code, received):
     codeword = encode(code, message)
     error = [w - c for w, c in zip([tower.zero] * k + syndrome, codeword)]
     if any(received[:k]):
-        message = message + _interpolate(code, received[:k])
+        message = message + reference_interpolate(code, received[:k])
         codeword = [r - e for r, e in zip(received, error)]
     return DecodeResult(
         success=True, codeword=tuple(codeword), error=tuple(error), message=message
     )
+
+
+def reference_interpolate(code, values):
+    """Polynomial of degree < k with the given values at the first k points.
+
+    Newton form on the prefix annihilators msp(g_0, ..., g_(i-1)), which
+    vanish on the earlier points; the library solves the head block of G.
+    """
+    tower, points = code.tower, code.points
+    poly = SkewPoly(tower)
+    for i, (g, v) in enumerate(zip(points, values)):
+        basis = msp(tower, points[:i])
+        poly = poly + ((v - poly.evaluate(g)) / basis.evaluate(g)) * basis
+    return poly
 
 
 def reference_msp(tower, elements):

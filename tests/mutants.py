@@ -9,11 +9,16 @@ with the tests expected to catch it.  For each mutant the script copies
 replaces the one occurrence of the old text there and runs the listed
 tests on that copy with pytest (needs pytest and hypothesis, like the
 suite).  A mutant is killed when a test fails, or when the tests run past
-``TIMEOUT_S``: a divisor whose lead is never inverted makes ``left_divide``
-loop, and the listed tests take a few seconds on the unmutated code.  The
-script exits 1 when a mutant survives, when its old text does not occur
-exactly once, or when pytest ends in any other way, such as a collection
-error, which kills nothing.  Standard library only.
+``TIMEOUT_S``; the listed tests take a few seconds on the unmutated code.
+The decoder's loops are bounded: ``left_divide`` steps once per shift, so a
+lead that is never inverted leaves a wrong quotient, which
+``test_left_divide_identity`` catches, not a loop.  The timeout guards
+against a mutant that hangs all the same.  The script exits 1 when a
+mutant survives, when its old text does not occur exactly once, or when
+pytest ends in any other way, such as a collection error, which kills
+nothing.  ``tests/test_mutants.py`` checks the old texts in the suite
+itself, so a refactor that moves one fails there first.  Standard library
+only.
 
 Two mutants of the key reduction are equivalent and left out.  Dropping
 column 0 from the entries of S v that E_top reads changes nothing: rows
@@ -70,11 +75,17 @@ MUTANTS = (
     Mutant("kernel: skip the pivot inverse", "exact_linalg.py",
            "v[i] = -(total * _invert(row[i]))", "v[i] = -total", LINALG),
     Mutant("kernel: drop the back-substitution terms", "exact_linalg.py",
-           "total = total + row[c] * v[c]", "pass", LINALG),
+           "for c in range(i + 1, f + 1)", "for c in range(f, f + 1)", LINALG),
     Mutant("kernel: eliminate only the next row", "exact_linalg.py",
            "for row in rows[f + 1 :]:", "for row in rows[f + 1 : f + 2]:", LINALG),
     Mutant("left_divide: never invert the lead", "skew_poly.py",
            "lead_inv = None if lead is tower.one else lead.inverse()", "lead_inv = None", SKEW),
+    Mutant("left_divide: skip the remainder update", "skew_poly.py",
+           "r[shift + i] = r[shift + i] - v_i * c.theta(i)", "pass", SKEW),
+    Mutant("left_divide: twist the update one iterate too far", "skew_poly.py",
+           "v_i * c.theta(i)", "v_i * c.theta(i + 1)", SKEW),
+    Mutant("left_divide: keep the cancelled top in the remainder", "skew_poly.py",
+           "SkewPoly(tower, r[:dv])", "SkewPoly(tower, r[: dv + 1])", SKEW),
     Mutant("decode: Q = 0", "gabidulin.py",
            "quotient = [_dot(tower, zip(row, sv)) for row in e_top]",
            "quotient = [tower.zero for row in e_top]", DECODE),
@@ -82,7 +93,7 @@ MUTANTS = (
            "return block[:t], block[t:]", "return block[: t + 1], block[t + 1 :]", DECODE),
     Mutant("decode: E split at t-1", "gabidulin.py",
            "return block[:t], block[t:]", "return block[: t - 1], block[t - 1 :]", DECODE),
-    Mutant("decode: skip the terms with an exact-one factor in _dot", "gabidulin.py",
+    Mutant("decode: skip the terms with an exact-one factor in _dot", "exact_linalg.py",
            "        if a and b:\n", "        if a and b and a is not one:\n", DECODE),
     Mutant("decode: drop the degree exit", "gabidulin.py",
            "    if message.degree >= k:\n", "    if False:\n", DECODE),

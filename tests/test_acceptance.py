@@ -217,7 +217,7 @@ def test_criterion_7_measurement_contract():
     for tower in (make_tower("cyclotomic", 5), make_tower("kummer", 4)):
         code = build_code(tower, tower.m, 2)
         field = tower.scalar_field
-        p = code.n * (code.n - code.k)
+        p = tower.m * (code.n - code.k)
         rng = random.Random(7)
         for _ in range(100):
             x = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
@@ -231,7 +231,7 @@ def test_criterion_7_measurement_contract():
             f = rand_poly(tower, rng, code.k - 1, height=4)
             codeword_matrix = ext(tower, encode(code, f))
             assert not any(measure(code, codeword_matrix).y)
-    _verdict(7, "measurement operator is linear with p = n(n-k)", True,
+    _verdict(7, "measurement operator is linear with p = m(n-k)", True,
              "100 linearity trials and 100 codeword annihilations per tower")
 
 

@@ -497,7 +497,7 @@ def test_decode_scale_instance():
     assert list(result.error) == e
 
 
-CACHED = ("annihilators", "annihilator", "key_reduction", "point_texts")
+CACHED = ("annihilator", "key_reduction", "point_texts")
 CACHE_TOWERS = [
     ("cyclotomic", 5),
     ("cyclotomic", 7),
@@ -527,9 +527,6 @@ def test_cached_code_constants_match_fresh_computation(params):
         ]
         assert not any(x for row in e_bottom for x in mul_vec(h_block, row))
         assert rank(Matrix(tower, e_top + e_bottom, cols=code.n - k)) == code.n - k
-        for i, basis in enumerate(code.annihilators):
-            assert basis.degree == i
-            assert not any(basis.evaluate(g) for g in points[:i])
         values = [rand_element(tower, rng, 3) for _ in range(k)]
         poly = gabidulin._interpolate(code, values)
         assert poly.degree < k

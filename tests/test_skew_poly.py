@@ -135,14 +135,31 @@ def test_left_divide_by_one(zeta5):
 def test_left_divide_identity(zeta5, kummer4):
     rng = random.Random(8)
     for tower in (zeta5, kummer4):
+        cases = []
         for _ in range(15):
             n = rand_poly(tower, rng, 4)
             v = rand_poly(tower, rng, 2)
             while v.is_zero():
                 v = rand_poly(tower, rng, 2)
+            cases.append((n, v, None))
+        a, b, c = (rand_nonzero_element(tower, rng, 3) for _ in range(3))
+        v = SkewPoly(tower, [a, b, c])
+        monic = SkewPoly(tower, [a, b, tower.one])
+        assert monic.coeffs[-1] is tower.one  # divided without inverting the lead
+        cases += [
+            (SkewPoly(tower), v, (SkewPoly(tower), SkewPoly(tower))),
+            (SkewPoly(tower, [a, b]), v, (SkewPoly(tower), SkewPoly(tower, [a, b]))),
+            (monic * SkewPoly(tower, [c, a]) + SkewPoly(tower, [b]), monic, None),
+            # after the first step every coefficient above the remainder is zero
+            (v * SkewPoly(tower, [0, 0, a]) + SkewPoly(tower, [b]), v,
+             (SkewPoly(tower, [0, 0, a]), SkewPoly(tower, [b]))),
+        ]
+        for n, v, expected in cases:
             q, r = left_divide(n, v)
             assert v * q + r == n
             assert r.degree < v.degree
+            if expected is not None:
+                assert (q, r) == expected
 
 
 def test_left_divide_by_zero_raises(zeta5):
