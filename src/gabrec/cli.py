@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exact_algebra import tower_from_spec
-from .exact_linalg import format_matrix, rank
+from .exact_linalg import _read_matrix_text, format_matrix, rank
 from .gabidulin import build_code
 from .lrmr import (
     approximate_complex,
@@ -256,25 +256,16 @@ def _cmd_weights(args) -> int:
 
 
 def _parse_float_matrix(text: str):
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix file needs an 'm n' header")
-    try:
-        m, n = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ValueError(f"bad matrix header {tokens[:2]!r}") from None
-    body = tokens[2:]
-    if len(body) != m * n:
-        raise ValueError(f"expected {m * n} entries, found {len(body)}")
-    is_complex = any("j" in token or "J" in token for token in body)
-    entries = []
-    for token in body:
+    _, tokens = _read_matrix_text(text)
+    is_complex = any("j" in token or "J" in token for row in tokens for token in row)
+
+    def entry(token):
         try:
-            entries.append(complex(token) if is_complex else Fraction(token))
+            return complex(token) if is_complex else Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad matrix entry {token!r}") from None
-    rows = [entries[i * n : (i + 1) * n] for i in range(m)]
-    return rows, is_complex
+
+    return [[entry(token) for token in row] for row in tokens], is_complex
 
 
 def _cmd_approx(args) -> int:

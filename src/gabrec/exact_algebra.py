@@ -37,12 +37,13 @@ Q(zeta_n) convolves the numerators, folds degrees from n down by zeta^n = 1
 and reduces the rest by the monic integer cyclotomic polynomial; one in the
 Kummer L is a 2-D convolution whose rows fold by alpha^n = radicand and
 reduce by Phi_n, and den gains the radicand's denominator.  One gcd ends
-each.  A rational factor scales numerators and denominator, a K-factor each
-row.  One exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives the
-Galois action sigma_u (s = 0; theta of the cyclotomic tower is sigma_g),
-``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.  It needs no
-gcd: sigma_u and the product with the unit zeta^s map the lattice Z[zeta],
-whose Z-basis is the power basis, onto itself.
+each.  A scalar factor, rational or in K, is read as a denominator and a
+row of numerators; it scales den and each row.  One exponent map,
+zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois action sigma_u
+(s = 0; theta of the cyclotomic tower is sigma_g), ``zeta(e)``, and the
+Kummer theta^j, which shifts row i by i j.  It needs no gcd: sigma_u and the
+product with the unit zeta^s map the lattice Z[zeta], whose Z-basis is the
+power basis, onto itself.
 
 The inverse comes from the norm: x^-1 is the product P of the other Galois
 conjugates of x divided by N(x), the product of all of them, taken on the
@@ -90,18 +91,7 @@ Rational = Union[int, Fraction]
 # elementary number theory
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -338,15 +328,11 @@ class _Element:
         if isinstance(other, _Element) and (other.field is field or other.field == field):
             product = field._mul_nums(self.nums, other.nums)
             return self._canonical(field, self.den * other.den * field._q, product)
-        if isinstance(other, (int, Fraction)):
-            q, (p,) = _rational_parts(other)
-            return self._canonical(field, self.den * q, [p * x for x in self.nums])
         try:
-            scalar = field.scalar_field.coerce(other)
+            den, row = field._scalar_parts(other)
         except TypeError:
             return NotImplemented
-        product = field._scale_nums(self.nums, scalar.nums)
-        return self._canonical(field, self.den * scalar.den, product)
+        return self._canonical(field, self.den * den, field._scale_nums(self.nums, row))
 
     __rmul__ = __mul__
 
@@ -445,8 +431,10 @@ class _CoordinateField:
     numerators per coordinate, ``_scalar_parts`` (a scalar as its
     denominator and row of numerators) and ``_scalar`` (the reverse),
     ``_mul_nums`` and ``_q`` (the product and the denominator it leaves),
-    ``_scale_nums`` (rows times a K-element), ``_conjugate_product`` and
-    ``_divide_by_norm`` for the inverse, and ``_theta_nums`` on a tower.
+    ``_scale_nums`` (each row times a scalar's row), ``_conjugate_product``
+    and ``_divide_by_norm`` for the inverse, and ``_theta_nums`` on a tower.
+    ``_scalar_parts`` is the only way a scalar enters an element: a product
+    with a scalar, ``embed_scalar`` and ``from_coords`` all read it there.
     """
 
     _element: type
@@ -477,11 +465,13 @@ class _CoordinateField:
 
     @property
     def basis(self) -> list[_Element]:
-        zero, one = self.scalar_field.zero, self.scalar_field.one
-        return [
-            self.from_coords((zero,) * i + (one,) + (zero,) * (self.m - 1 - i))
-            for i in range(self.m)
-        ]
+        return [self._basis_vector(i) for i in range(self.m)]
+
+    def _basis_vector(self, i: int) -> _Element:
+        # the i-th power-basis vector: one numerator 1, at index i * _width
+        nums = [0] * (self._width * self.m)
+        nums[i * self._width] = 1
+        return self._element(self, 1, tuple(nums))
 
     def from_coords(self, coords: Iterable) -> _Element:
         # over the least common denominator of the canonical coordinates,
@@ -550,6 +540,11 @@ class CyclotomicField(_CoordinateField):
     @staticmethod
     def _scalar(den: int, row: Sequence[int]) -> Fraction:
         return Fraction(row[0], den) if den != 1 else Fraction(row[0])
+
+    @staticmethod
+    def _scale_nums(nums: Sequence[int], y: Sequence[int]) -> list[int]:
+        # numerators times the one rational numerator y[0]
+        return [y[0] * x for x in nums]
 
     def element(self, coeffs: Iterable[Rational]) -> CyclotomicElement:
         """sum(coeffs[e] zeta^e) for at most m int or Fraction coefficients."""
@@ -624,9 +619,8 @@ class Tower(_CoordinateField):
     kind: str
 
     def generator(self) -> _Element:
-        # zeta or alpha, the second power-basis vector: one numerator 1 at index _width
-        w = self._width
-        return self._element(self, 1, (0,) * w + (1,) + (0,) * (w * (self.m - 1) - 1))
+        # zeta or alpha, the second power-basis vector
+        return self._basis_vector(1)
 
     def _conjugate_product(self, nums: Sequence[int]) -> tuple[int, ...]:
         # Numerators of theta(a) ... theta^(m-1)(a), up to the positive

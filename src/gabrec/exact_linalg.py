@@ -15,6 +15,12 @@ inverts each pivot once in the back substitution; the decoder uses it for
 its small per-record kernel, where ``rref``'s scaled rows make every later
 pivot a tall fraction.  Both give the same kernel vector, bit for bit.
 
+``format_matrix`` writes, and ``parse_matrix`` reads, a "rows cols" header
+and then the entries row by row, whitespace-separated.  ``_read_matrix_text``
+is the one reader of that layout: it checks the header and the entry count
+and returns the rows as tokens, which ``parse_matrix`` reads over a field
+and the command line's ``approx`` reads as decimal or complex numbers.
+
 ``_dot`` is the package's one sum of products.  It skips zero factors and
 a factor that is ``field.one`` itself, the pivot both eliminations set.  It
 stays out of ``__all__``, whose functions the benchmark's tracer wraps.
@@ -43,9 +49,10 @@ class Matrix:
     def __init__(self, field, rows: Iterable[Iterable], cols: int | None = None):
         entries = tuple(tuple(field.coerce(v) for v in row) for row in rows)
         if entries:
-            cols = len(entries[0])
-            if any(len(row) != cols for row in entries):
+            width = len(entries[0])
+            if cols not in (None, width) or any(len(row) != width for row in entries):
                 raise ValueError("ragged rows")
+            cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         self.field = field
@@ -220,6 +227,12 @@ def format_matrix(matrix: Matrix) -> str:
 
 
 def parse_matrix(field, text: str) -> Matrix:
+    ncols, rows = _read_matrix_text(text)
+    return Matrix(field, [[field.from_text(token) for token in row] for row in rows], cols=ncols)
+
+
+def _read_matrix_text(text: str) -> tuple[int, list[list[str]]]:
+    """The column count and the rows of entry tokens of the text form, header checked."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix text needs a 'rows cols' header")
@@ -230,8 +243,4 @@ def parse_matrix(field, text: str) -> Matrix:
     body = tokens[2:]
     if len(body) != nrows * ncols:
         raise ValueError(f"expected {nrows * ncols} entries, found {len(body)}")
-    rows = [
-        [field.from_text(body[i * ncols + j]) for j in range(ncols)]
-        for i in range(nrows)
-    ]
-    return Matrix(field, rows, cols=ncols)
+    return ncols, [body[i * ncols : (i + 1) * ncols] for i in range(nrows)]

@@ -81,14 +81,13 @@ class SkewPoly:
 
     def __mul__(self, other):
         if not isinstance(other, SkewPoly):
-            # right multiplication by a scalar: f * a = sum f_i theta^i(a) x^i
+            # right multiplication by a scalar: f * a = sum f_i theta^i(a) x^i,
+            # the product with the constant a
             try:
-                a = self.tower.coerce(other)
+                constant = SkewPoly.constant(self.tower, other)
             except (TypeError, ValueError):
                 return NotImplemented
-            return SkewPoly(
-                self.tower, [c * a.theta(i) for i, c in enumerate(self.coeffs)]
-            )
+            return self * constant
         other = self._match(other)
         if self.is_zero() or other.is_zero():
             return SkewPoly(self.tower)

@@ -1,5 +1,5 @@
-"""Mutation check of the decoder, the checks that build codes and towers,
-and the record check of ``recover``.
+"""Mutation check of the decoder, the scalar and basis arithmetic under it,
+the checks that build codes and towers, and the record check of ``recover``.
 
     python3 tests/mutants.py
 
@@ -115,6 +115,24 @@ MUTANTS = (
            "if not any(norm[:d]) or any(norm[d:]):", "if False:", ALGEBRA),
     Mutant("recover: skip the record length check", "lrmr.py",
            "if len(record.y) != m * r:", "if False:", RECORD),
+    Mutant("scalar product: drop the rational factor", "exact_algebra.py",
+           "return [y[0] * x for x in nums]", "return list(nums)",
+           ("tests/test_exact_algebra.py::test_coords_are_base_linear",)),
+    Mutant("basis: vector i at index i, not i * width", "exact_algebra.py",
+           "nums[i * self._width] = 1", "nums[i] = 1", ALGEBRA),
+    Mutant("code: skip the check that the points are independent over K", "gabidulin.py",
+           "if rref(ext(tower, points))[1] != n:", "if False:",
+           ("tests/test_gabidulin.py::test_build_rejects_bad_parameters",)),
+    Mutant("key reduction: leave the last column of E_top out of read", "gabidulin.py",
+           "for j, e in enumerate(row) if e}", "for j, e in enumerate(row[:-1]) if e}",
+           ("tests/test_gabidulin.py::test_decode_rank_one_error",)),
+    Mutant("key reduction: leave the last column of E_bottom out of B", "gabidulin.py",
+           "_dot(tower, zip(row, s_i)) for s_i in s_block",
+           "_dot(tower, zip(row[:-1], s_i)) for s_i in s_block",
+           ("tests/test_gabidulin.py::test_decode_rank_one_error",)),
+    Mutant("SkewPoly: a scalar on the right multiplies from the left", "skew_poly.py",
+           "return self * constant", "return constant * self",
+           ("tests/test_skew_poly.py::test_scalar_multiplication_sides",)),
 )
 
 

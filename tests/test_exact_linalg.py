@@ -148,6 +148,9 @@ def test_solve_dimension_mismatch():
 def test_matrix_shape_checks():
     with pytest.raises(ValueError):
         Matrix(QQ, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(QQ, [[1, 2]], cols=5)
+    assert Matrix(QQ, [[1, 2]], cols=2).shape == (1, 2)
 
 
 def test_matrix_text_roundtrip(zeta5):

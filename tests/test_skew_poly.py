@@ -62,12 +62,24 @@ def test_mul_identity_and_degree(zeta5):
             assert (a * b).degree == a.degree + b.degree
 
 
-def test_scalar_multiplication_sides(zeta5):
+def test_scalar_multiplication_sides(zeta5, kummer4):
     rng = random.Random(2)
     f = rand_poly(zeta5, rng, 3)
     a = rand_nonzero_element(zeta5, rng)
     assert a * f == SkewPoly.constant(zeta5, a) * f
     assert f * a == f * SkewPoly.constant(zeta5, a)
+    # on the right, a is twisted: f * a = sum f_i theta^i(a) x^i, so f and a
+    # do not commute once deg f >= 1 and theta moves a
+    for tower in (zeta5, kummer4):
+        for degree in (1, 2, 3):
+            f = SkewPoly(tower, [rand_nonzero_element(tower, rng, 3) for _ in range(degree + 1)])
+            a = rand_nonzero_element(tower, rng)
+            assert a.theta() != a
+            expected = SkewPoly(tower)
+            for i, c in enumerate(f.coeffs):
+                expected = expected + SkewPoly.monomial(tower, c * a.theta(i), i)
+            assert f * a == expected
+            assert f * a != a * f
 
 
 def test_evaluate_theta_squared(zeta5):
