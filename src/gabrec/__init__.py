@@ -18,7 +18,7 @@ from .exact_algebra import (
     make_tower,
     tower_from_spec,
 )
-from .exact_linalg import Matrix, format_matrix, parse_matrix, rank, right_kernel, rref
+from .exact_linalg import Matrix, format_matrix, rank, right_kernel, rref
 from .gabidulin import (
     DecodeResult,
     GabCode,
@@ -41,8 +41,8 @@ from .lrmr import (
     record_to_json,
     recover,
 )
-from .rank_metric import WEIGHT_KINDS, ext, ext_inv, rank_distance, rank_weight, theta_matrix
-from .skew_poly import SkewPoly, format_poly, left_divide, msp, parse_poly
+from .rank_metric import WEIGHT_KINDS, ext, ext_inv, rank_weight, theta_matrix
+from .skew_poly import SkewPoly, left_divide, msp
 
 __version__ = "0.1.0"
 
@@ -58,19 +58,15 @@ __all__ = [
     "tower_from_spec",
     "Matrix",
     "format_matrix",
-    "parse_matrix",
     "rank",
     "right_kernel",
     "rref",
     "SkewPoly",
-    "format_poly",
     "left_divide",
     "msp",
-    "parse_poly",
     "WEIGHT_KINDS",
     "ext",
     "ext_inv",
-    "rank_distance",
     "rank_weight",
     "theta_matrix",
     "DecodeResult",

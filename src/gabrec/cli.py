@@ -59,10 +59,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        return cls(**payload)
-
     @property
     def within_radius(self) -> bool:
         return self.planted_rank <= (self.n - self.k) // 2

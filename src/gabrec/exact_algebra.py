@@ -546,11 +546,6 @@ class CyclotomicField(_CoordinateField):
         # numerators times the one rational numerator y[0]
         return [y[0] * x for x in nums]
 
-    def element(self, coeffs: Iterable[Rational]) -> CyclotomicElement:
-        """sum(coeffs[e] zeta^e) for at most m int or Fraction coefficients."""
-        coeffs = list(coeffs)
-        return self.from_coords(coeffs + [0] * (self.m - len(coeffs)))
-
     def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta^power, reduced to the power basis."""
         return CyclotomicElement(self, 1, self._move(self.one.nums, 1, power))

@@ -15,11 +15,10 @@ inverts each pivot once in the back substitution; the decoder uses it for
 its small per-record kernel, where ``rref``'s scaled rows make every later
 pivot a tall fraction.  Both give the same kernel vector, bit for bit.
 
-``format_matrix`` writes, and ``parse_matrix`` reads, a "rows cols" header
-and then the entries row by row, whitespace-separated.  ``_read_matrix_text``
-is the one reader of that layout: it checks the header and the entry count
-and returns the rows as tokens, which ``parse_matrix`` reads over a field
-and the command line's ``approx`` reads as decimal or complex numbers.
+``format_matrix`` writes a "rows cols" header and then the entries row by
+row, whitespace-separated.  ``_read_matrix_text`` reads that layout back as
+rows of tokens, which the command line's ``approx`` reads as decimal or
+complex numbers.
 
 ``_dot`` is the package's one sum of products.  It skips zero factors and
 a factor that is ``field.one`` itself, the pivot both eliminations set.  It
@@ -37,7 +36,6 @@ __all__ = [
     "right_kernel",
     "first_kernel_vector",
     "format_matrix",
-    "parse_matrix",
 ]
 
 
@@ -53,8 +51,8 @@ class Matrix:
             if cols not in (None, width) or any(len(row) != width for row in entries):
                 raise ValueError("ragged rows")
             cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        elif cols is None or cols < 0:
+            raise ValueError("empty matrix needs a column count >= 0")
         self.field = field
         self.rows = len(entries)
         self.cols = cols
@@ -226,20 +224,14 @@ def format_matrix(matrix: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(field, text: str) -> Matrix:
-    ncols, rows = _read_matrix_text(text)
-    return Matrix(field, [[field.from_text(token) for token in row] for row in rows], cols=ncols)
-
-
 def _read_matrix_text(text: str) -> tuple[int, list[list[str]]]:
     """The column count and the rows of entry tokens of the text form, header checked."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix text needs a 'rows cols' header")
-    try:
-        nrows, ncols = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ValueError(f"bad matrix header {tokens[:2]!r}") from None
+    if not (tokens[0].isdecimal() and tokens[1].isdecimal()):
+        raise ValueError(f"bad matrix header {tokens[:2]!r}: need two counts >= 0")
+    nrows, ncols = int(tokens[0]), int(tokens[1])
     body = tokens[2:]
     if len(body) != nrows * ncols:
         raise ValueError(f"expected {nrows * ncols} entries, found {len(body)}")

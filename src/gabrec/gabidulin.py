@@ -75,10 +75,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .exact_algebra import Tower, _Element, make_tower
+from .exact_algebra import QQ, Tower, _Element, make_tower
 from .exact_linalg import Matrix, _dot, first_kernel_vector, right_kernel, rref
 from .rank_metric import ext, theta_matrix
 from .skew_poly import SkewPoly, left_divide, msp
@@ -311,8 +310,24 @@ def code_to_descriptor(code: GabCode) -> dict:
 
 
 def code_from_descriptor(descriptor: dict) -> GabCode:
+    """Rebuild the code a descriptor names; ValueError if it is malformed.
+
+    The counts must be JSON integers: ``2.7``, ``4.0``, ``true`` and ``"4"``
+    are refused, never rounded or converted.
+    """
+    if not isinstance(descriptor, dict):
+        raise ValueError("a code descriptor must be a JSON object")
+    missing = {"towerKind", "towerParam", "n", "k", "g"} - descriptor.keys()
+    if missing:
+        raise ValueError(f"code descriptor lacks {sorted(missing)}")
+    param, n, k, texts = (descriptor[key] for key in ("towerParam", "n", "k", "g"))
+    if not all(type(v) is int for v in (param, n, k)):
+        raise ValueError("descriptor 'towerParam', 'n' and 'k' must be integers")
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError("descriptor 'g' must be a list of strings")
     # a cyclotomic descriptor carries no radicand, and make_tower ignores it there
-    radicand = Fraction(descriptor.get("radicand", 2))
-    tower = make_tower(descriptor["towerKind"], int(descriptor["towerParam"]), radicand)
-    points = [tower.from_text(text) for text in descriptor["g"]]
-    return build_code(tower, int(descriptor["n"]), int(descriptor["k"]), points)
+    radicand = descriptor.get("radicand", "2")
+    if not isinstance(radicand, str):
+        raise ValueError("descriptor 'radicand' must be a string")
+    tower = make_tower(descriptor["towerKind"], param, QQ.from_text(radicand))
+    return build_code(tower, n, k, [tower.from_text(text) for text in texts])

@@ -81,6 +81,8 @@ def recover(code: GabCode, record: MeasurementRecord) -> Matrix | None:
     m, r = tower.m, code.n - code.k
     if len(record.y) != m * r:
         raise ValueError(f"measurement length {len(record.y)}, expected {m * r}")
+    if any(isinstance(v, bool) for v in record.y):
+        raise ValueError("a measurement entry is a bool, not a number")
     syndrome = [tower.from_coords(record.y[i * m : (i + 1) * m]) for i in range(r)]
     error = syndrome_decode(code, syndrome)
     if error is None:
@@ -255,10 +257,21 @@ def record_to_json(record: MeasurementRecord, field) -> dict:
 
 
 def record_from_json(payload: dict, field) -> MeasurementRecord:
+    """Read a record written by :func:`record_to_json`; ValueError if it is malformed.
+
+    The descriptor is kept as given: ``recover`` refuses a record whose
+    descriptor is not its code's.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("a measurement record must be a JSON object")
     order = payload.get("order", VECTORIZATION_ORDER)
     if order != VECTORIZATION_ORDER:
         raise ValueError(f"unsupported vectorization order {order!r}")
-    return MeasurementRecord(
-        tuple(field.from_text(t) for t in payload["y"]),
-        dict(payload["code"]),
-    )
+    y, code = payload.get("y"), payload.get("code")
+    if not isinstance(y, list):
+        raise ValueError("record 'y' must be a list of entries")
+    if not all(isinstance(t, str) for t in y):
+        raise ValueError("record 'y' entries must be strings")
+    if not isinstance(code, dict):
+        raise ValueError("record 'code' must be a code descriptor object")
+    return MeasurementRecord(tuple(field.from_text(t) for t in y), dict(code))

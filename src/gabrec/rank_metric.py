@@ -27,7 +27,6 @@ __all__ = [
     "theta_matrix",
     "coordinate_expansion",
     "rank_weight",
-    "rank_distance",
 ]
 
 WEIGHT_KINDS = ("A", "thetaL", "thetaK", "B")
@@ -76,12 +75,3 @@ def rank_weight(tower: Tower, vector: Sequence, kind: str) -> int:
     if kind == "A":
         return msp(tower, [tower.coerce(x) for x in vector]).degree
     raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
-
-
-def rank_distance(tower: Tower, x: Sequence, y: Sequence, kind: str) -> int:
-    """Rank weight of x - y; definiteness is only guaranteed for kinds A and B."""
-    x = [tower.coerce(v) for v in x]
-    y = [tower.coerce(v) for v in y]
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return rank_weight(tower, [a - b for a, b in zip(x, y)], kind)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact_algebra import Tower, _Element, _split_tuple
+from .exact_algebra import Tower, _Element
 from .exact_linalg import _dot
 
-__all__ = ["SkewPoly", "left_divide", "msp", "format_poly", "parse_poly"]
+__all__ = ["SkewPoly", "left_divide", "msp"]
 
 
 class SkewPoly:
@@ -32,14 +32,6 @@ class SkewPoly:
     @classmethod
     def constant(cls, tower: Tower, value) -> "SkewPoly":
         return cls(tower, [value])
-
-    @classmethod
-    def monomial(cls, tower: Tower, coeff, degree: int) -> "SkewPoly":
-        return cls(tower, [tower.zero] * degree + [coeff])
-
-    @classmethod
-    def x(cls, tower: Tower) -> "SkewPoly":
-        return cls.monomial(tower, tower.one, 1)
 
     @property
     def degree(self) -> int:
@@ -133,7 +125,7 @@ class SkewPoly:
         return self.coeffs[-1].inverse() * self
 
     def __repr__(self) -> str:
-        return f"SkewPoly({format_poly(self)})"
+        return f"SkewPoly([{', '.join(self.tower.to_text(c) for c in self.coeffs)}])"
 
 
 def left_divide(n: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
@@ -183,19 +175,3 @@ def msp(tower: Tower, elements: Sequence) -> SkewPoly:
         if w:
             poly = SkewPoly(tower, [-w.theta(), w]) * poly
     return poly.monic()
-
-
-def format_poly(p: SkewPoly) -> str:
-    """Coefficient list lowest degree first, e.g. ``[(0,1,0,0), (1,0,0,0)]``."""
-    return "[" + ", ".join(p.tower.to_text(c) for c in p.coeffs) + "]"
-
-
-def parse_poly(tower: Tower, text: str) -> SkewPoly:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"expected bracketed coefficient list, got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return SkewPoly(tower)
-    parts = _split_tuple("(" + inner + ")")
-    return SkewPoly(tower, [tower.from_text(p) for p in parts])

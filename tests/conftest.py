@@ -178,7 +178,7 @@ def rand_scalar(tower, rng, height=5):
     if isinstance(tower, CyclotomicTower):
         return tower.scalar_field.coerce(rng.randint(-height, height))
     field = tower.scalar_field
-    return field.element([rng.randint(-height, height) for _ in range(field.m)])
+    return field.from_coords([rng.randint(-height, height) for _ in range(field.m)])
 
 
 def rand_element(tower, rng, height=5):

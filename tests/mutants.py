@@ -1,5 +1,6 @@
 """Mutation check of the decoder, the scalar and basis arithmetic under it,
-the checks that build codes and towers, and the record check of ``recover``.
+the checks that build codes and towers, the record check of ``recover``,
+and the loaders' checks of outside input.
 
     python3 tests/mutants.py
 
@@ -66,6 +67,7 @@ DECODE = ("tests/test_gabidulin.py",)
 ALGEBRA = ("tests/test_exact_algebra.py",)
 RANK = ("tests/test_rank_metric.py",)
 RECORD = ("tests/test_lrmr.py::test_recover_validates_record",)
+LOADERS = ("tests/test_lrmr.py::test_loaders_refuse_malformed_json",)
 
 MUTANTS = (
     Mutant("kernel: skip the row swap", "exact_linalg.py",
@@ -133,6 +135,38 @@ MUTANTS = (
     Mutant("SkewPoly: a scalar on the right multiplies from the left", "skew_poly.py",
            "return self * constant", "return constant * self",
            ("tests/test_skew_poly.py::test_scalar_multiplication_sides",)),
+    Mutant("recover: skip the bool check", "lrmr.py",
+           "if any(isinstance(v, bool) for v in record.y):", "if False:", RECORD),
+    Mutant("record: accept a payload that is not an object", "lrmr.py",
+           "if not isinstance(payload, dict):", "if False:", LOADERS),
+    Mutant("record: accept a non-list y", "lrmr.py",
+           "if not isinstance(y, list):", "if not isinstance(y, (list, str)):", LOADERS),
+    Mutant("record: accept non-string entries", "lrmr.py",
+           "if not all(isinstance(t, str) for t in y):", "if False:", LOADERS),
+    Mutant("record: accept a code that is not an object", "lrmr.py",
+           "if not isinstance(code, dict):", "if False:", LOADERS),
+    Mutant("descriptor: accept one that is not an object", "gabidulin.py",
+           "if not isinstance(descriptor, dict):", "if False:", LOADERS),
+    Mutant("descriptor: skip the missing-key check", "gabidulin.py",
+           "    if missing:\n", "    if False:\n", LOADERS),
+    Mutant("descriptor: accept a float count", "gabidulin.py",
+           "type(v) is int for v in (param, n, k)", "type(v) in (int, float) for v in (param, n, k)",
+           LOADERS),
+    Mutant("descriptor: accept a bool count", "gabidulin.py",
+           "type(v) is int for v in (param, n, k)", "isinstance(v, int) for v in (param, n, k)",
+           LOADERS),
+    Mutant("descriptor: accept any g", "gabidulin.py",
+           "if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):",
+           "if False:", LOADERS),
+    Mutant("descriptor: accept a non-string radicand", "gabidulin.py",
+           "if not isinstance(radicand, str):", "if False:", LOADERS),
+    Mutant("matrix text: accept negative counts", "exact_linalg.py",
+           "if not (tokens[0].isdecimal() and tokens[1].isdecimal()):",
+           'if not (tokens[0].lstrip("-").isdecimal() and tokens[1].lstrip("-").isdecimal()):',
+           ("tests/test_exact_linalg.py::test_matrix_text_roundtrip",)),
+    Mutant("Matrix: accept a negative column count", "exact_linalg.py",
+           "elif cols is None or cols < 0:", "elif cols is None:",
+           ("tests/test_exact_linalg.py::test_matrix_shape_checks",)),
 )
 
 

@@ -113,7 +113,7 @@ def test_demo_takes_n_from_tower(capsys):
 
 def test_config_roundtrip():
     config = ExperimentConfig("cyclotomic:5", 4, 2, 1, 10, 3, 5, out="x.json")
-    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig(**config.to_dict()) == config
     assert config.within_radius
     assert not ExperimentConfig("cyclotomic:5", 4, 2, 2, 10, 3, 5).within_radius
 
@@ -162,6 +162,10 @@ def test_weights_usage_errors(tmp_path, capsys):
     # a short coordinate tuple is refused, not padded with zeros
     vec.write_text("((1),(0,0),(0,0),(0,0))\n")
     assert main(["weights", str(vec), "--tower", "kummer:4"]) == USAGE_ERROR
+    assert "gabrec weights: error:" in capsys.readouterr().err
+    # an unclosed tuple
+    vec.write_text("(1,0,0,0\n")
+    assert main(["weights", str(vec), "--tower", "cyclotomic:5"]) == USAGE_ERROR
     assert "gabrec weights: error:" in capsys.readouterr().err
 
 
@@ -218,6 +222,10 @@ def test_approx_usage_errors(tmp_path, capsys):
     src.write_text("1 2\n1/0 2\n")
     assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
     assert "gabrec approx: error: bad matrix entry '1/0'" in capsys.readouterr().err
+    # negative counts are refused at the header, not later as an empty matrix
+    src.write_text("-1 -1\n5\n")
+    assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
+    assert "gabrec approx: error: bad matrix header" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

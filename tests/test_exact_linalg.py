@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import mul_vec, rand_element, solve, zero_matrix
-from gabrec import Matrix, QQ, format_matrix, make_tower, parse_matrix, rank, right_kernel, rref
-from gabrec.exact_linalg import first_kernel_vector
+from gabrec import Matrix, QQ, format_matrix, make_tower, rank, right_kernel, rref
+from gabrec.exact_linalg import _read_matrix_text, first_kernel_vector
 
 
 def qq_matrix(rows):
@@ -150,19 +150,31 @@ def test_matrix_shape_checks():
         Matrix(QQ, [[1, 2], [3]])
     with pytest.raises(ValueError, match="ragged rows"):
         Matrix(QQ, [[1, 2]], cols=5)
+    with pytest.raises(ValueError, match="column count"):
+        Matrix(QQ, [], cols=-1)
+    assert Matrix(QQ, [], cols=0).shape == (0, 0)
     assert Matrix(QQ, [[1, 2]], cols=2).shape == (1, 2)
 
 
 def test_matrix_text_roundtrip(zeta5):
+    def parse(field, text):
+        ncols, rows = _read_matrix_text(text)
+        return Matrix(field, [[field.from_text(t) for t in row] for row in rows], cols=ncols)
+
     rng = random.Random(3)
     m = rand_qq_matrix(rng, 3, 2)
-    assert parse_matrix(QQ, format_matrix(m)) == m
+    assert parse(QQ, format_matrix(m)) == m
     entries = [[rand_element(zeta5, rng, 2) for _ in range(3)] for _ in range(2)]
     ml = Matrix(zeta5, entries, cols=3)
-    assert parse_matrix(zeta5, format_matrix(ml)) == ml
+    assert parse(zeta5, format_matrix(ml)) == ml
     text = format_matrix(m)
     assert text.splitlines()[0] == "3 2"
     with pytest.raises(ValueError):
-        parse_matrix(QQ, "2 2\n1 2 3")
-    with pytest.raises(ValueError):
-        parse_matrix(QQ, "x y\n1 2")
+        _read_matrix_text("2 2\n1 2 3")
+    # a header is two counts >= 0: "-1 -1" with one entry is no (0, -1) matrix
+    for header in ("x y", "-1 -1", "2 -1", "-2 -1"):
+        with pytest.raises(ValueError, match="bad matrix header"):
+            _read_matrix_text(header + "\n5 6")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        _read_matrix_text("-1 -1\n5")
+    assert _read_matrix_text("0 3\n") == (3, [])

@@ -121,7 +121,7 @@ def test_encode_constant_gives_points(code5):
 
 
 def test_encode_x_gives_theta_of_points(code5):
-    x = SkewPoly.x(code5.tower)
+    x = SkewPoly(code5.tower, [code5.tower.zero, code5.tower.one])
     assert encode(code5, x) == [g.theta() for g in code5.points]
 
 
@@ -131,7 +131,7 @@ def test_encode_zero(code5):
 
 def test_encode_rejects_large_degree(code5):
     with pytest.raises(ValueError):
-        encode(code5, SkewPoly.monomial(code5.tower, code5.tower.one, code5.k))
+        encode(code5, SkewPoly(code5.tower, [code5.tower.zero] * code5.k + [code5.tower.one]))
 
 
 @pytest.fixture(scope="module")

@@ -241,6 +241,11 @@ def test_recover_validates_record(code5, code_k4):
         for wrong in (y + (Fraction(1),), y[:-1]):
             with pytest.raises(ValueError, match="measurement length"):
                 recover(code, MeasurementRecord(wrong, code_to_descriptor(code)))
+    # True is an int, but no measured number: it is refused, not read as 1
+    for code in (code5, code_k4):
+        y = measure(code, zero_matrix(code.tower.scalar_field, 4, 4)).y
+        with pytest.raises(ValueError, match="bool"):
+            recover(code, MeasurementRecord((True,) + y[1:], code_to_descriptor(code)))
 
 
 def test_random_low_rank_ranks():
@@ -360,6 +365,86 @@ def test_record_json_rejects_other_orders(code5):
     payload["order"] = "column-major"
     with pytest.raises(ValueError, match="column-major"):
         record_from_json(payload, field)
+
+
+def test_loaders_refuse_malformed_json(code5, code_k4):
+    # every probe is refused with ValueError: none is read as another record
+    # or code, and none escapes as AttributeError, KeyError or TypeError
+    field = code5.tower.scalar_field
+    payload = record_to_json(measure(code5, zero_matrix(field, 4, 4)), field)
+    records = [
+        [payload],
+        {key: v for key, v in payload.items() if key != "y"},
+        {key: v for key, v in payload.items() if key != "code"},
+        {**payload, "y": "12345678"},
+        {**payload, "y": [0] * 8},
+        {**payload, "y": [None] * 8},
+        {**payload, "code": [["n", 4]]},
+    ]
+    for bad in records:
+        with pytest.raises(ValueError):
+            record_from_json(bad, field)
+    descriptor = code_to_descriptor(code_k4)
+    descriptors = [{key: v for key, v in descriptor.items() if key != drop} for drop in
+                   ("towerKind", "towerParam", "n", "k", "g")]
+    descriptors += [{**descriptor, key: value} for key in ("towerParam", "n", "k")
+                    for value in (2.7, 4.0, True, "4")]
+    descriptors += [{**descriptor, "g": value} for value in ("((1,0))", [1, 2, 3, 4], None)]
+    descriptors += [{**descriptor, "radicand": value} for value in (2, None, "1/0")]
+    for bad in [[descriptor], *descriptors]:
+        with pytest.raises(ValueError):
+            code_from_descriptor(bad)
+
+
+RETYPES = (float, bool, str, list, type(None))
+
+
+def _retyped(value, kind):
+    if kind is float:
+        return float(value) if type(value) is int else 0.5
+    if kind is str:
+        return str(value)
+    return {bool: True, list: [value], type(None): None}[kind]
+
+
+def _mutate(data, mapping):
+    key = data.draw(st.sampled_from(sorted(mapping)))
+    action = data.draw(st.sampled_from(["drop", "retype", "retype entry", "shift"]))
+    if action == "drop":
+        del mapping[key]
+    elif action == "retype entry" and isinstance(mapping[key], list):
+        i = data.draw(st.integers(0, len(mapping[key]) - 1))
+        kinds = [kind for kind in RETYPES if kind is not str]
+        mapping[key][i] = _retyped(mapping[key][i], data.draw(st.sampled_from(kinds)))
+    elif action == "shift" and key in ("n", "k"):
+        mapping[key] += data.draw(st.sampled_from([-1, 1]))
+    else:
+        kinds = [kind for kind in RETYPES if not isinstance(mapping[key], kind)]
+        mapping[key] = _retyped(mapping[key], data.draw(st.sampled_from(kinds)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_mutated_records_raise_or_recover_exactly(data):
+    # a mutated record or descriptor is refused with ValueError or, when the
+    # mutation changes nothing that matters, recovers the planted matrix
+    spec = data.draw(st.sampled_from(["cyclotomic:5", "kummer:4"]))
+    code = pipeline_code(spec, 4, 2)
+    field = code.tower.scalar_field
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    matrix = random_low_rank(4, 4, code.radius, 5, rng=rng, field=field).matrix
+    payload = record_to_json(measure(code, matrix), field)
+    if data.draw(st.booleans()):
+        # one character per entry: iterating the string would yield as many entries
+        payload["y"] = "".join(t[-1] for t in payload["y"])
+    else:
+        _mutate(data, data.draw(st.sampled_from([payload, payload["code"]])))
+    try:
+        record = record_from_json(payload, field)
+        result = recover(code_from_descriptor(record.code_descriptor), record)
+    except ValueError:
+        return
+    assert result == matrix
 
 
 @given(st.fractions())

@@ -10,7 +10,6 @@ from gabrec import (
     WEIGHT_KINDS,
     ext,
     ext_inv,
-    rank_distance,
     rank_weight,
     theta_matrix,
 )
@@ -114,19 +113,6 @@ def test_planted_weight(zeta5):
     for r in (1, 2):
         vec = rand_error(zeta5, rng, 4, r)
         assert rank_weight(zeta5, vec, "B") == r
-
-
-def test_rank_distance(zeta5):
-    rng = random.Random(9)
-    x = rand_vector(zeta5, rng, 4)
-    y = rand_vector(zeta5, rng, 4)
-    zero = [zeta5.zero] * 4
-    for kind in WEIGHT_KINDS:
-        assert rank_distance(zeta5, x, x, kind) == 0
-    assert rank_distance(zeta5, x, zero, "B") == rank_weight(zeta5, x, "B")
-    assert rank_distance(zeta5, x, y, "B") == rank_distance(zeta5, y, x, "B")
-    with pytest.raises(ValueError):
-        rank_distance(zeta5, x, y[:3], "B")
 
 
 def test_unknown_kind_rejected(zeta5):

@@ -12,7 +12,7 @@ from conftest import (
     rand_vector,
     reference_msp,
 )
-from gabrec import SkewPoly, ext, format_poly, left_divide, make_tower, msp, parse_poly, rank
+from gabrec import SkewPoly, ext, left_divide, make_tower, msp, rank
 
 
 def test_add_examples(zeta5, kummer4):
@@ -22,7 +22,7 @@ def test_add_examples(zeta5, kummer4):
     assert a + zero == a
     assert a + (-a) == zero
     alpha = kummer4.basis[1]
-    x = SkewPoly.x(kummer4)
+    x = SkewPoly(kummer4, [kummer4.zero, kummer4.one])
     x_plus = x + SkewPoly.constant(kummer4, alpha)
     x_minus = x - SkewPoly.constant(kummer4, alpha)
     assert x_plus + x_minus == SkewPoly(kummer4, [kummer4.zero, 2 * kummer4.one])
@@ -31,7 +31,8 @@ def test_add_examples(zeta5, kummer4):
 def test_mul_twist_rule(kummer4):
     # x * alpha = theta(alpha) * x = i*alpha * x
     alpha = kummer4.basis[1]
-    product = SkewPoly.x(kummer4) * SkewPoly.constant(kummer4, alpha)
+    x = SkewPoly(kummer4, [kummer4.zero, kummer4.one])
+    product = x * SkewPoly.constant(kummer4, alpha)
     assert product == SkewPoly(kummer4, [kummer4.zero, alpha.theta()])
     assert alpha.theta() == kummer4.imaginary_unit() * alpha
 
@@ -39,7 +40,7 @@ def test_mul_twist_rule(kummer4):
 def test_mul_expansion_frozen(kummer4):
     # (x + alpha)(x - alpha) = x^2 + (1-i)*alpha*x - alpha^2, expanded by hand
     alpha = kummer4.basis[1]
-    x = SkewPoly.x(kummer4)
+    x = SkewPoly(kummer4, [kummer4.zero, kummer4.one])
     product = (x + SkewPoly.constant(kummer4, alpha)) * (x - SkewPoly.constant(kummer4, alpha))
     expected = SkewPoly(
         kummer4,
@@ -77,14 +78,14 @@ def test_scalar_multiplication_sides(zeta5, kummer4):
             assert a.theta() != a
             expected = SkewPoly(tower)
             for i, c in enumerate(f.coeffs):
-                expected = expected + SkewPoly.monomial(tower, c * a.theta(i), i)
+                expected = expected + SkewPoly(tower, [tower.zero] * i + [c * a.theta(i)])
             assert f * a == expected
             assert f * a != a * f
 
 
 def test_evaluate_theta_squared(zeta5):
     zeta = zeta5.basis[1]
-    f = SkewPoly.monomial(zeta5, zeta5.one, 2)
+    f = SkewPoly(zeta5, [zeta5.zero, zeta5.zero, zeta5.one])
     assert f.evaluate(zeta**3) == zeta**2
 
 
@@ -267,18 +268,3 @@ def test_monic_flag(zeta5):
     assert q.monic().is_monic()
     with pytest.raises(ZeroDivisionError):
         SkewPoly(zeta5).monic()
-
-
-def test_poly_text_roundtrip(zeta5, kummer4):
-    zeta = zeta5.basis[1]
-    p = SkewPoly(zeta5, [zeta, zeta5.one])  # zeta + x
-    assert format_poly(p) == "[(0,1,0,0), (1,0,0,0)]"
-    assert parse_poly(zeta5, "[(0,1,0,0), (1,0,0,0)]") == p
-    assert parse_poly(zeta5, "[]") == SkewPoly(zeta5)
-    rng = random.Random(13)
-    for tower in (zeta5, kummer4):
-        for _ in range(5):
-            f = rand_poly(tower, rng, 3)
-            assert parse_poly(tower, format_poly(f)) == f
-    with pytest.raises(ValueError):
-        parse_poly(zeta5, "(0,1,0,0)")
