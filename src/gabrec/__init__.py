@@ -30,7 +30,6 @@ from .gabidulin import (
     wb_decode,
 )
 from .lrmr import (
-    LowRankInstance,
     MeasurementRecord,
     approximate_complex,
     approximate_real,
@@ -77,7 +76,6 @@ __all__ = [
     "encode",
     "syndrome_decode",
     "wb_decode",
-    "LowRankInstance",
     "MeasurementRecord",
     "approximate_complex",
     "approximate_real",

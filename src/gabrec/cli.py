@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
 import random
 import sys
@@ -19,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .exact_algebra import tower_from_spec
+from .exact_algebra import QQ, tower_from_spec
 from .exact_linalg import _read_matrix_text, format_matrix, rank
 from .gabidulin import build_code
 from .lrmr import (
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 OK, USAGE_ERROR, VERIFICATION_FAILURE = 0, 1, 2
-SEED_ENV_VAR = "GABREC_SEED"
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     height_bound: int
-    out: str | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -77,7 +74,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     verification_failures = 0
     for index in range(config.trials):
         start = time.perf_counter()
-        instance = random_low_rank(
+        matrix = random_low_rank(
             tower.m,
             code.n,
             config.planted_rank,
@@ -85,10 +82,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             rng=rng,
             field=tower.scalar_field,
         )
-        record = measure(code, instance.matrix)
+        record = measure(code, matrix)
         result = recover(code, record)
         success = result is not None
-        equal = success and result == instance.matrix
+        equal = success and result == matrix
         valid = True
         if success and not equal:
             # adversarial outcomes must still explain the measurement within radius
@@ -130,9 +127,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def deterministic_view(report: dict) -> dict:
-    """The report minus wall times, host facts, and the output path."""
+    """The report minus wall times and host facts."""
     view = {
-        "config": {k: v for k, v in report["config"].items() if k != "out"},
+        "config": report["config"],
         "withinRadius": report["withinRadius"],
         "trials": [
             {key: value for key, value in trial.items() if key != "wallTimeMs"}
@@ -165,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--k", type=int, default=2, help="code dimension")
     demo.add_argument("--rank", type=int, default=1, help="planted rank per trial")
     demo.add_argument("--trials", type=int, default=20)
-    demo.add_argument("--seed", type=int, default=None,
-                      help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 0)")
+    demo.add_argument("--seed", type=int, default=0, help="RNG seed")
     demo.add_argument("--height", type=int, default=5, help="entry bound for factors")
     demo.add_argument("--out", default=None, help="report path (default: stdout)")
 
@@ -183,18 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(given: int | None) -> int:
-    if given is not None:
-        return given
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"${SEED_ENV_VAR}={env!r} is not an integer") from None
-    return 0
-
-
 def _cmd_demo(args) -> int:
     # demo runs every code at full length n = m, the tower's degree
     config = ExperimentConfig(
@@ -203,18 +187,17 @@ def _cmd_demo(args) -> int:
         k=args.k,
         planted_rank=args.rank,
         trials=args.trials,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         height_bound=args.height,
-        out=args.out,
     )
     report = run_experiment(config)
     text = json.dumps(report, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
         summary = report["summary"]
         print(
-            f"wrote {config.out}: {summary['recoveredEqual']}/{summary['trials']} "
+            f"wrote {args.out}: {summary['recoveredEqual']}/{summary['trials']} "
             f"recovered exactly (within radius: {report['withinRadius']})"
         )
     else:
@@ -257,8 +240,8 @@ def _parse_float_matrix(text: str):
 
     def entry(token):
         try:
-            return complex(token) if is_complex else Fraction(token)
-        except (ValueError, ZeroDivisionError):
+            return complex(token) if is_complex else QQ.from_text(token)
+        except ValueError:
             raise ValueError(f"bad matrix entry {token!r}") from None
 
     return [[entry(token) for token in row] for row in tokens], is_complex

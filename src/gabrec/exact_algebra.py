@@ -223,10 +223,17 @@ class RationalField:
         return scalar_to_text(self.coerce(value))
 
     def from_text(self, text: str) -> Fraction:
+        text = text.strip()
+        # Fraction expands a decimal exponent in full: "1e10000000" takes
+        # seconds.  The bound is Python's default digit limit for int strings.
+        _, marker, exponent = text.lower().partition("e")
+        digits = exponent.lstrip("+-").lstrip("0")
+        if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):
+            raise ValueError(f"decimal exponent beyond 4300 in {text!r}")
         try:
-            return Fraction(text.strip())
+            return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text.strip()!r}") from None
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def __repr__(self) -> str:
         return "QQ"

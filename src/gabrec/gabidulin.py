@@ -10,10 +10,11 @@ H is systematic: its last n-k columns are the identity.  In a cyclic
 extension the k-by-k theta-Moore block of K-independent points is
 invertible (Augot-Loidreau-Robert, ISIT 2013), so the pivots of G are its
 first k columns and the kernel basis puts I_(n-k) on the free ones.  So
-``GabCode.syndrome``, which ``measure`` and the decoder share, multiplies
+``GabCode.syndrome``, which ``measure`` and ``wb_decode`` share, multiplies
 only the head: H r = r[k:] + H[:, :k] r[:k].  A syndrome s is its own
-preimage, H (0, ..., 0, s) = s, and syndrome decoding is one decode of
-that word, with no linear solve.  ``build_code`` checks the identity block.
+preimage, H (0, ..., 0, s) = s, so the decoder takes s and decodes that
+word, with no linear solve; ``wb_decode`` reduces a received word r to its
+syndrome H r.  ``build_code`` checks the identity block.
 
 Decoding interpolates a pair (V, N) with deg V <= t and deg N <= k-1+t
 such that V(r_i) = N(g_i) at every point, then extracts the message as the
@@ -21,7 +22,8 @@ exact left quotient N = V * f (Loidreau, WCC 2005); errors of rank weight
 up to t = floor((n-k)/2) are corrected uniquely.  Any nonzero solution
 gives that error, so the decoder may solve a smaller system with the same
 solutions.  It decodes the word (0, ..., 0, s), where s = H r; that word
-differs from r by a codeword.  N vanishes on the first k points, so
+differs from r by a codeword, so ``wb_decode`` adds that codeword back
+and keeps the error.  N vanishes on the first k points, so
 N = Q * P with P = msp(g_0, ..., g_(k-1)) of degree k and deg Q < t, and
 the conditions left are V(s_j) = Q(h_j) with h_j = P(g_(k+j)).  In matrix
 form they read S v = A q, where v and q hold the coefficients of V and Q,
@@ -74,7 +76,7 @@ that only measures never pays for P and E.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .exact_algebra import QQ, Tower, _Element, make_tower
@@ -156,8 +158,6 @@ class GabCode:
         """Parity-check image H word; H is the identity on its last n-k columns."""
         word = _coerce_word(self, word)
         head, tail = word[: self.k], word[self.k :]
-        if not any(head):
-            return tail
         return [
             s + _dot(self.tower, zip(row, head))
             for s, row in zip(tail, self.parity_check.entries)
@@ -166,6 +166,8 @@ class GabCode:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """What :func:`syndrome_decode` and :func:`wb_decode` return; failure sets only ``reason``."""
+
     success: bool
     codeword: tuple[_Element, ...] | None = None
     error: tuple[_Element, ...] | None = None
@@ -216,20 +218,24 @@ def _coerce_word(code: GabCode, word: Sequence) -> list[_Element]:
     return word
 
 
-def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
-    """Bounded-minimum-distance decoding of a received word.
+def syndrome_decode(code: GabCode, syndrome: Sequence) -> DecodeResult:
+    """Bounded-minimum-distance decoding of a syndrome s = H r.
 
-    Failure is reported through the result status, never an exception: it
-    signals an error of rank weight above the decoding radius.  There are
-    three failure exits, named by ``reason``: "no_kernel" (only when n-k is
-    odd, so that B is square), "remainder" for a nonzero remainder of the
-    left division, and "degree" for a quotient of degree k or more.  A
-    success needs no further check: the module docstring shows that its
-    error has rank weight at most t.
+    The decoded word is (0, ..., 0, s), a preimage of s: on success the
+    error has parity-check image s and rank weight at most t, and the
+    codeword is (0, ..., 0, s) minus the error.  Failure is reported through
+    the result status, never an exception: it signals that no error within
+    the decoding radius has this syndrome.  There are three failure exits,
+    named by ``reason``: "no_kernel" (only when n-k is odd, so that B is
+    square), "remainder" for a nonzero remainder of the left division, and
+    "degree" for a quotient of degree k or more.  A success needs no further
+    check: the module docstring shows that its error has rank weight at
+    most t.
     """
-    received = _coerce_word(code, received)
     tower, t, k = code.tower, code.radius, code.k
-    head, syndrome = received[:k], code.syndrome(received)
+    syndrome = [tower.coerce(x) for x in syndrome]
+    if len(syndrome) != code.n - k:
+        raise ValueError(f"expected a length-{code.n - k} syndrome, got {len(syndrome)}")
     # interpolate V(s_j) = Q(h_j): S v = A q with S_ji = theta^i(s_j); E turns
     # it into B v = 0, B = E_bottom S, and q = E_top S v (module docstring)
     e_top, e_bottom = code.key_reduction
@@ -253,14 +259,31 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     if message.degree >= k:
         return DecodeResult(success=False, reason="degree")
     codeword = encode(code, message)
-    error = [w - c for w, c in zip([tower.zero] * k + syndrome, codeword)]
-    if any(head):
-        # add back the codeword r - (0, s), equal to r on the head, and its message
-        message = message + _interpolate(code, head)
-        codeword = [r - e for r, e in zip(received, error)]
+    error = [-c for c in codeword[:k]] + [s - c for s, c in zip(syndrome, codeword[k:])]
     return DecodeResult(
         success=True, codeword=tuple(codeword), error=tuple(error), message=message
     )
+
+
+def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
+    """Bounded-minimum-distance decoding of a received word r.
+
+    r and (0, ..., 0, H r) differ by a codeword, so the word is reduced to
+    its syndrome and decoded by :func:`syndrome_decode`, with the same error
+    and failure exits.  A nonzero head is added back to the codeword and
+    its message.
+    """
+    received = _coerce_word(code, received)
+    result = syndrome_decode(code, code.syndrome(received))
+    head = received[: code.k]
+    if result.success and any(head):
+        # add back the codeword r - (0, s), equal to r on the head, and its message
+        result = replace(
+            result,
+            codeword=tuple(r - e for r, e in zip(received, result.error)),
+            message=result.message + _interpolate(code, head),
+        )
+    return result
 
 
 def _interpolate(code: GabCode, values: Sequence) -> SkewPoly:
@@ -274,24 +297,6 @@ def _interpolate(code: GabCode, values: Sequence) -> SkewPoly:
     rows = [[*code.generator.column(j), x] for j, x in enumerate(values)]
     reduced = rref(Matrix(code.tower, rows, cols=k + 1))[0]
     return SkewPoly(code.tower, [row[k] for row in reduced.entries])
-
-
-def syndrome_decode(code: GabCode, syndrome: Sequence) -> list[_Element] | None:
-    """Error vector of rank weight <= t whose parity-check image is the syndrome.
-
-    Any preimage of the syndrome works as decoder input because preimages
-    differ by codewords.  H is the identity on its last n-k columns, so
-    (0, ..., 0, s) is a preimage of s and its decoded error is the answer.
-    None means the syndrome is not reachable from an error within the
-    decoding radius.
-    """
-    syndrome = [code.tower.coerce(x) for x in syndrome]
-    if len(syndrome) != code.n - code.k:
-        raise ValueError(
-            f"expected a length-{code.n - code.k} syndrome, got {len(syndrome)}"
-        )
-    result = wb_decode(code, [code.tower.zero] * code.k + syndrome)
-    return list(result.error) if result.success else None
 
 
 def code_to_descriptor(code: GabCode) -> dict:

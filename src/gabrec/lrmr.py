@@ -27,7 +27,6 @@ from .rank_metric import ext, ext_inv
 
 __all__ = [
     "MeasurementRecord",
-    "LowRankInstance",
     "measure",
     "recover",
     "random_low_rank",
@@ -48,12 +47,6 @@ class MeasurementRecord:
 
     y: tuple
     code_descriptor: dict
-
-
-@dataclass(frozen=True)
-class LowRankInstance:
-    matrix: Matrix
-    planted_rank: int
 
 
 def measure(code: GabCode, matrix: Matrix) -> MeasurementRecord:
@@ -83,11 +76,12 @@ def recover(code: GabCode, record: MeasurementRecord) -> Matrix | None:
         raise ValueError(f"measurement length {len(record.y)}, expected {m * r}")
     if any(isinstance(v, bool) for v in record.y):
         raise ValueError("a measurement entry is a bool, not a number")
-    syndrome = [tower.from_coords(record.y[i * m : (i + 1) * m]) for i in range(r)]
-    error = syndrome_decode(code, syndrome)
-    if error is None:
-        return None
-    return ext(tower, error)
+    try:
+        syndrome = [tower.from_coords(record.y[i * m : (i + 1) * m]) for i in range(r)]
+    except TypeError as exc:
+        raise ValueError(f"a measurement entry is not a base-field element: {exc}") from None
+    result = syndrome_decode(code, syndrome)
+    return ext(tower, result.error) if result.success else None
 
 
 def random_low_rank(
@@ -97,7 +91,7 @@ def random_low_rank(
     height_bound: int,
     rng: random.Random | None = None,
     field=QQ,
-) -> LowRankInstance:
+) -> Matrix:
     """Sum of r random integer outer products, resampled until the rank is exact."""
     if not 0 <= r <= min(m, n):
         raise ValueError(f"rank {r} is infeasible for a {m}x{n} matrix")
@@ -115,7 +109,7 @@ def random_low_rank(
                         grid[i][j] += u[i] * v[j]
         matrix = Matrix(field, grid, cols=n)
         if rank(matrix) == r:
-            return LowRankInstance(matrix, r)
+            return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Mutation check of the decoder, the scalar and basis arithmetic under it,
 the checks that build codes and towers, the record check of ``recover``,
-and the loaders' checks of outside input.
+and the loaders' checks of outside input, the reader of rationals included.
 
     python3 tests/mutants.py
 
@@ -160,6 +160,17 @@ MUTANTS = (
            "if False:", LOADERS),
     Mutant("descriptor: accept a non-string radicand", "gabidulin.py",
            "if not isinstance(radicand, str):", "if False:", LOADERS),
+    Mutant("syndrome decode: head of the error +c, not -c", "gabidulin.py",
+           "[-c for c in codeword[:k]]", "[c for c in codeword[:k]]", DECODE),
+    Mutant("wb_decode: add back a zero head too", "gabidulin.py",
+           "if result.success and any(head):", "if result.success and True:",
+           ("tests/test_gabidulin.py::test_word_decode_reduces_to_syndrome_decode",)),
+    Mutant("recover: let a non-rational entry raise TypeError", "lrmr.py",
+           "    except TypeError as exc:\n", "    except ZeroDivisionError as exc:\n", RECORD),
+    Mutant("rational text: drop the exponent bound", "exact_algebra.py",
+           "if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):",
+           "if False:",
+           ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
     Mutant("matrix text: accept negative counts", "exact_linalg.py",
            "if not (tokens[0].isdecimal() and tokens[1].isdecimal()):",
            'if not (tokens[0].lstrip("-").isdecimal() and tokens[1].lstrip("-").isdecimal()):',

@@ -47,13 +47,13 @@ def _roundtrip_trials(tower, trials, planted_rank, height):
     rng = random.Random(20240801)
     exact = 0
     for _ in range(trials):
-        instance = random_low_rank(
+        matrix = random_low_rank(
             tower.m, tower.m, planted_rank, height, rng=rng, field=tower.scalar_field
         )
-        record = measure(code, instance.matrix)
+        record = measure(code, matrix)
         assert len(record.y) == tower.m * (tower.m - 2)
         result = recover(code, record)
-        exact += result == instance.matrix
+        exact += result == matrix
     return exact
 
 
@@ -90,8 +90,8 @@ def test_criterion_3_radius_sharpness():
     silent_violations = 0
     reported_failures = 0
     for _ in range(100):
-        instance = random_low_rank(4, 4, 2, 10, rng=rng)
-        record = measure(code, instance.matrix)
+        matrix = random_low_rank(4, 4, 2, 10, rng=rng)
+        record = measure(code, matrix)
         result = recover(code, record)
         if result is None:
             reported_failures += 1
@@ -220,8 +220,8 @@ def test_criterion_7_measurement_contract():
         p = tower.m * (code.n - code.k)
         rng = random.Random(7)
         for _ in range(100):
-            x = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
-            y = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
+            x = random_low_rank(4, 4, 2, 5, rng=rng, field=field)
+            y = random_low_rank(4, 4, 2, 5, rng=rng, field=field)
             a = field.coerce(rng.randint(-5, 5))
             mx, my = measure(code, x), measure(code, y)
             assert len(mx.y) == p

@@ -77,17 +77,6 @@ def test_demo_deterministic_reports(tmp_path):
     assert other["resultsDigest"] != first["resultsDigest"]
 
 
-def test_demo_seed_env_fallback(tmp_path, monkeypatch):
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("GABREC_SEED", "7")
-    assert main(["demo", "--trials", "5", "--out", str(out)]) == OK
-    env_report = json.loads(out.read_text())
-    _, explicit = run_demo(tmp_path)
-    assert env_report["resultsDigest"] == explicit["resultsDigest"]
-    monkeypatch.setenv("GABREC_SEED", "not-an-int")
-    assert main(["demo", "--trials", "1"]) == USAGE_ERROR
-
-
 def test_demo_usage_errors(tmp_path):
     assert main(["demo", "--tower", "cyclotomic:6"]) == USAGE_ERROR
     assert main(["demo", "--tower", "nonsense"]) == USAGE_ERROR
@@ -112,14 +101,14 @@ def test_demo_takes_n_from_tower(capsys):
 
 
 def test_config_roundtrip():
-    config = ExperimentConfig("cyclotomic:5", 4, 2, 1, 10, 3, 5, out="x.json")
+    config = ExperimentConfig("cyclotomic:5", 4, 2, 1, 10, 3, 5)
     assert ExperimentConfig(**config.to_dict()) == config
     assert config.within_radius
     assert not ExperimentConfig("cyclotomic:5", 4, 2, 2, 10, 3, 5).within_radius
 
 
 def test_run_experiment_matches_cli(tmp_path):
-    config = ExperimentConfig("cyclotomic:5", 4, 2, 1, 5, 7, 5, out=None)
+    config = ExperimentConfig("cyclotomic:5", 4, 2, 1, 5, 7, 5)
     report = run_experiment(config)
     assert report["summary"]["recoveredEqual"] == 5
     assert report["config"]["seed"] == 7
@@ -222,6 +211,10 @@ def test_approx_usage_errors(tmp_path, capsys):
     src.write_text("1 2\n1/0 2\n")
     assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
     assert "gabrec approx: error: bad matrix entry '1/0'" in capsys.readouterr().err
+    # a huge decimal exponent is refused at once, not expanded
+    src.write_text("1 1\n1e10000000\n")
+    assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
+    assert "bad matrix entry '1e10000000'" in capsys.readouterr().err
     # negative counts are refused at the header, not later as an empty matrix
     src.write_text("-1 -1\n5\n")
     assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR

@@ -305,6 +305,17 @@ def test_scalar_field_text(kummer4):
     assert QQ.to_text(Fraction(5)) == "5"
 
 
+def test_rational_text_bounds_the_exponent(kummer4):
+    # Fraction would expand 10**10000000 in full; the reader refuses first
+    for text in ("1e300", "2e-3", "3/2", "1e4300", "-1E-4300", "1e+04300"):
+        assert QQ.from_text(text) == Fraction(text)
+    for text in ("1e5000", "1E-4301", "1e+004301", "1e10000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            QQ.from_text(text)
+    with pytest.raises(ValueError, match="exponent"):
+        kummer4.scalar_field.from_text("(1e5000,0)")
+
+
 def test_coordinates_are_strict(kummer4):
     # a short tuple is not padded with zeros, and a float is not a coordinate
     field = kummer4.scalar_field

@@ -251,7 +251,10 @@ def test_decode_matches_full_kernel_reference(zeta5, kummer4):
 
 def test_syndrome_decode_zero(code5):
     zero_syndrome = [code5.tower.zero] * 2
-    assert syndrome_decode(code5, zero_syndrome) == [code5.tower.zero] * 4
+    result = syndrome_decode(code5, zero_syndrome)
+    assert result.success
+    assert list(result.error) == [code5.tower.zero] * 4
+    assert result.message.is_zero()
 
 
 def reference_syndrome_decode(code, syndrome):
@@ -270,8 +273,9 @@ def test_syndrome_decode_rank_one(code5, code_k4):
             e = rand_error(code.tower, rng, code.n, 1)
             syndrome = mul_vec(code.parity_check, e)
             recovered = syndrome_decode(code, syndrome)
-            assert recovered == e
-            assert recovered == reference_syndrome_decode(code, syndrome)
+            assert recovered.success
+            assert list(recovered.error) == e
+            assert list(recovered.error) == reference_syndrome_decode(code, syndrome)
 
 
 def test_syndrome_decode_beyond_radius(code5):
@@ -280,10 +284,13 @@ def test_syndrome_decode_beyond_radius(code5):
         e = rand_error(code5.tower, rng, code5.n, 2)
         syndrome = mul_vec(code5.parity_check, e)
         recovered = syndrome_decode(code5, syndrome)
-        assert recovered == reference_syndrome_decode(code5, syndrome)
-        if recovered is not None:
-            assert mul_vec(code5.parity_check, recovered) == syndrome
-            assert rank_weight(code5.tower, recovered, "B") <= code5.radius
+        error = list(recovered.error) if recovered.success else None
+        assert error == reference_syndrome_decode(code5, syndrome)
+        if recovered.success:
+            assert mul_vec(code5.parity_check, error) == syndrome
+            assert rank_weight(code5.tower, error, "B") <= code5.radius
+        else:
+            assert recovered.reason in ("no_kernel", "remainder", "degree")
 
 
 ORACLE_TOWERS = [
@@ -302,20 +309,15 @@ def test_random_syndromes_match_rank_checked_reference(monkeypatch):
     # the rank check, so any success the division alone lets through as a
     # wrong answer shows up as a mismatch.
     exits = collections.Counter()
-    left_divide, wb_decode = gabidulin.left_divide, gabidulin.wb_decode
-    remainders, results = [], []
+    left_divide = gabidulin.left_divide
+    remainders = []
 
     def divide_spy(numerator, locator):
         quotient, remainder = left_divide(numerator, locator)
         remainders.append(remainder)
         return quotient, remainder
 
-    def decode_spy(code, word):
-        results.append(wb_decode(code, word))
-        return results[-1]
-
     monkeypatch.setattr(gabidulin, "left_divide", divide_spy)
-    monkeypatch.setattr(gabidulin, "wb_decode", decode_spy)
     rng = random.Random(15)
     for spec in ORACLE_TOWERS:
         tower = make_tower(*spec)
@@ -326,11 +328,11 @@ def test_random_syndromes_match_rank_checked_reference(monkeypatch):
                 syndrome = rand_vector(tower, rng, n - k, height=3)
                 remainders.clear()
                 recovered = syndrome_decode(code, syndrome)
-                reference = reference_wb_decode(code, [tower.zero] * k + syndrome)
-                assert recovered == (list(reference.error) if reference.success else None)
-                if recovered is not None:
-                    assert mul_vec(code.parity_check, recovered) == syndrome
-                    assert rank_weight(tower, recovered, "B") <= code.radius
+                assert recovered == reference_wb_decode(code, [tower.zero] * k + syndrome)
+                if recovered.success:
+                    error = list(recovered.error)
+                    assert mul_vec(code.parity_check, error) == syndrome
+                    assert rank_weight(tower, error, "B") <= code.radius
                     reason = None
                 elif not remainders:
                     # the interpolation system is square only when n-k is odd
@@ -338,9 +340,39 @@ def test_random_syndromes_match_rank_checked_reference(monkeypatch):
                     reason = "no_kernel"
                 else:
                     reason = "degree" if remainders[0].is_zero() else "remainder"
-                assert results[-1].reason == reason, (spec, k)
+                assert recovered.reason == reason, (spec, k)
                 exits[reason] += 1
     assert exits["no_kernel"] > 0 and exits["remainder"] > 0, exits
+
+
+def test_word_decode_reduces_to_syndrome_decode(monkeypatch):
+    # wb_decode hands a word's syndrome to syndrome_decode; a zero-head word
+    # is its syndrome's own preimage, so both decode it alike, reason
+    # included, and nothing is added back (no zero head is interpolated)
+    interpolated = []
+    interpolate = gabidulin._interpolate
+
+    def interpolate_spy(code, values):
+        interpolated.append(values)
+        return interpolate(code, values)
+
+    monkeypatch.setattr(gabidulin, "_interpolate", interpolate_spy)
+    outcomes = collections.Counter()
+    rng = random.Random(19)
+    for spec in ORACLE_TOWERS:
+        tower = make_tower(*spec)
+        n = tower.m
+        for k in range(1, n + 1):
+            code = build_code(tower, n, k)
+            planted = rand_error(tower, rng, n, code.radius, height=2)
+            for s in (mul_vec(code.parity_check, planted), rand_vector(tower, rng, n - k, 3)):
+                expected = syndrome_decode(code, s)
+                result = wb_decode(code, [tower.zero] * k + s)
+                assert result == expected, (spec, k)
+                assert result.reason == expected.reason, (spec, k)
+                outcomes[expected.reason] += 1
+    assert not interpolated
+    assert outcomes[None] > 0 and sum(outcomes.values()) > outcomes[None], outcomes
 
 
 def test_word_of_degree_k_fails_by_degree():
@@ -480,7 +512,7 @@ def test_kummer12_round_trip():
     assert result.message == f
     assert list(result.error) == errors[0]
     for e in errors:
-        assert syndrome_decode(code, mul_vec(code.parity_check, e)) == e
+        assert list(syndrome_decode(code, mul_vec(code.parity_check, e)).error) == e
 
 
 def test_decode_scale_instance():
@@ -535,7 +567,7 @@ def test_cached_code_constants_match_fresh_computation(params):
 
         matrix = random_low_rank(
             tower.m, tower.m, t, 5, rng=rng, field=tower.scalar_field
-        ).matrix
+        )
         record = measure(code, matrix)
         first = recover(code, record)
         assert first == matrix

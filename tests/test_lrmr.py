@@ -64,8 +64,8 @@ def test_measure_is_linear(code5, code_k4):
     for code in (code5, code_k4):
         field = code.tower.scalar_field
         for _ in range(15):
-            x = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
-            y = random_low_rank(4, 4, 2, 5, rng=rng, field=field).matrix
+            x = random_low_rank(4, 4, 2, 5, rng=rng, field=field)
+            y = random_low_rank(4, 4, 2, 5, rng=rng, field=field)
             a = field.coerce(rng.randint(-5, 5))
             lhs = measure(code, axpy(a, x, y)).y
             rhs = tuple(
@@ -93,9 +93,9 @@ def test_recover_roundtrip(code5, code_k4):
         field = code.tower.scalar_field
         for r in (0, 1):
             for _ in range(10):
-                instance = random_low_rank(4, 4, r, 10, rng=rng, field=field)
-                record = measure(code, instance.matrix)
-                assert recover(code, record) == instance.matrix
+                matrix = random_low_rank(4, 4, r, 10, rng=rng, field=field)
+                record = measure(code, matrix)
+                assert recover(code, record) == matrix
 
 
 @pytest.mark.parametrize(
@@ -115,12 +115,12 @@ def test_recover_rectangular_roundtrip(spec, n, k, r):
     field = tower.scalar_field
     rng = random.Random(9)
     for _ in range(3):
-        instance = random_low_rank(tower.m, n, r, 10, rng=rng, field=field)
-        record = measure(code, instance.matrix)
+        matrix = random_low_rank(tower.m, n, r, 10, rng=rng, field=field)
+        record = measure(code, matrix)
         assert len(record.y) == tower.m * (n - k)
         payload = record_to_json(record, field)
         assert record_from_json(payload, field) == record
-        assert recover(code, record_from_json(payload, field)) == instance.matrix
+        assert recover(code, record_from_json(payload, field)) == matrix
 
 
 def test_recover_kummer12_full_size():
@@ -128,8 +128,8 @@ def test_recover_kummer12_full_size():
     tower = make_tower("kummer", 12)
     code = build_code(tower, 12, 4)
     field = tower.scalar_field
-    instance = random_low_rank(12, 12, 2, 10, rng=random.Random(0), field=field)
-    assert recover(code, measure(code, instance.matrix)) == instance.matrix
+    matrix = random_low_rank(12, 12, 2, 10, rng=random.Random(0), field=field)
+    assert recover(code, measure(code, matrix)) == matrix
 
 
 def test_recover_kummer8_radicand3():
@@ -142,9 +142,9 @@ def test_recover_kummer8_radicand3():
     field = tower.scalar_field
     rng = random.Random(0)
     within = random_low_rank(8, 8, 2, 10, rng=rng, field=field)
-    assert recover(code, measure(code, within.matrix)) == within.matrix
+    assert recover(code, measure(code, within)) == within
     beyond = random_low_rank(8, 8, 3, 10, rng=rng, field=field)
-    record = measure(code, beyond.matrix)
+    record = measure(code, beyond)
     result = recover(code, record)
     if result is not None:
         assert rank(result) <= code.radius
@@ -163,9 +163,9 @@ def test_recover_fractional_radicand():
     field = tower.scalar_field
     rng = random.Random(1)
     within = random_low_rank(4, 4, 1, 10, rng=rng, field=field)
-    assert recover(code, measure(code, within.matrix)) == within.matrix
+    assert recover(code, measure(code, within)) == within
     beyond = random_low_rank(4, 4, 2, 10, rng=rng, field=field)
-    record = measure(code, beyond.matrix)
+    record = measure(code, beyond)
     result = recover(code, record)
     if result is not None:
         assert rank(result) <= code.radius
@@ -175,8 +175,8 @@ def test_recover_fractional_radicand():
 def test_recover_beyond_radius(code5):
     rng = random.Random(3)
     for _ in range(15):
-        instance = random_low_rank(4, 4, 2, 5, rng=rng)
-        record = measure(code5, instance.matrix)
+        matrix = random_low_rank(4, 4, 2, 5, rng=rng)
+        record = measure(code5, matrix)
         result = recover(code5, record)
         if result is not None:
             assert measure(code5, result).y == record.y
@@ -215,7 +215,7 @@ def test_pipeline_property(data):
         record = MeasurementRecord(tuple(y), code_to_descriptor(code))
     else:
         field = code.tower.scalar_field
-        matrix = random_low_rank(m, n, planted, height, rng=rng, field=field).matrix
+        matrix = random_low_rank(m, n, planted, height, rng=rng, field=field)
         record = measure(code, matrix)
     result = recover(code, record)
     if planted is not None and planted <= code.radius:
@@ -235,7 +235,7 @@ def test_recover_validates_record(code5, code_k4):
     rng = random.Random(10)
     for code in (code5, build_code(tower_from_spec("cyclotomic:11"), 6, 2)):
         m = code.tower.m
-        planted = random_low_rank(m, code.n, 1, 5, rng=rng).matrix
+        planted = random_low_rank(m, code.n, 1, 5, rng=rng)
         y = measure(code, planted).y
         assert len(y) == m * (code.n - code.k)
         for wrong in (y + (Fraction(1),), y[:-1]):
@@ -246,15 +246,18 @@ def test_recover_validates_record(code5, code_k4):
         y = measure(code, zero_matrix(code.tower.scalar_field, 4, 4)).y
         with pytest.raises(ValueError, match="bool"):
             recover(code, MeasurementRecord((True,) + y[1:], code_to_descriptor(code)))
+        # nor is any other non-rational, on either tower
+        for bad in (0.5, "1", None):
+            with pytest.raises(ValueError, match="not a base-field element"):
+                recover(code, MeasurementRecord((bad,) + y[1:], code_to_descriptor(code)))
 
 
 def test_random_low_rank_ranks():
     rng = random.Random(4)
     for r in (0, 1, 2, 3):
-        instance = random_low_rank(4, 4, r, 10, rng=rng)
-        assert instance.planted_rank == r
-        assert rank(instance.matrix) == r
-    assert random_low_rank(3, 5, 0, 1, rng=rng).matrix == zero_matrix(QQ, 3, 5)
+        matrix = random_low_rank(4, 4, r, 10, rng=rng)
+        assert rank(matrix) == r
+    assert random_low_rank(3, 5, 0, 1, rng=rng) == zero_matrix(QQ, 3, 5)
     with pytest.raises(ValueError):
         random_low_rank(3, 5, 4, 10, rng=rng)
     with pytest.raises(ValueError):
@@ -263,8 +266,8 @@ def test_random_low_rank_ranks():
 
 def test_random_low_rank_over_extension_base(kummer4):
     rng = random.Random(5)
-    instance = random_low_rank(4, 4, 2, 5, rng=rng, field=kummer4.scalar_field)
-    assert rank(instance.matrix) == 2
+    matrix = random_low_rank(4, 4, 2, 5, rng=rng, field=kummer4.scalar_field)
+    assert rank(matrix) == 2
 
 
 def test_approximate_half_is_exact():
@@ -349,12 +352,12 @@ def test_record_json_roundtrip(code5, code_k4):
     rng = random.Random(8)
     for code in (code5, code_k4):
         field = code.tower.scalar_field
-        instance = random_low_rank(4, 4, 1, 5, rng=rng, field=field)
-        record = measure(code, instance.matrix)
+        matrix = random_low_rank(4, 4, 1, 5, rng=rng, field=field)
+        record = measure(code, matrix)
         payload = record_to_json(record, field)
         assert payload["order"] == "row-major"
         assert record_from_json(payload, field) == record
-        assert recover(code, record_from_json(payload, field)) == instance.matrix
+        assert recover(code, record_from_json(payload, field)) == matrix
 
 
 def test_record_json_rejects_other_orders(code5):
@@ -432,7 +435,7 @@ def test_mutated_records_raise_or_recover_exactly(data):
     code = pipeline_code(spec, 4, 2)
     field = code.tower.scalar_field
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    matrix = random_low_rank(4, 4, code.radius, 5, rng=rng, field=field).matrix
+    matrix = random_low_rank(4, 4, code.radius, 5, rng=rng, field=field)
     payload = record_to_json(measure(code, matrix), field)
     if data.draw(st.booleans()):
         # one character per entry: iterating the string would yield as many entries
