@@ -33,12 +33,18 @@ measurement records and takes no part in the arithmetic.
 One implementation, ``_Element``, holds every operator; what differs between
 fields is a hook on the handle.  Sums and differences add numerators over the
 shared denominator, or cross-multiply, and end in one gcd.  A product in
-Q(zeta_n) convolves the numerators, folds degrees from n down by zeta^n = 1
-and reduces the rest by the monic integer cyclotomic polynomial; one in the
-Kummer L is a 2-D convolution whose rows fold by alpha^n = radicand and
-reduce by Phi_n, and den gains the radicand's denominator.  One gcd ends
-each.  A scalar factor, rational or in K, is read as a denominator and a
-row of numerators; it scales den and each row.  One exponent map,
+Q(zeta_n) convolves the numerators, the factor with more zeros in the outer
+loop, folds degrees from n down by zeta^n = 1 and reduces the rest by the
+monic integer cyclotomic polynomial; one in the Kummer L is a 2-D
+convolution over the nonzero numerators whose rows fold by
+alpha^n = radicand and reduce by Phi_n, and den gains the radicand's
+denominator.  One gcd ends each.  A sum of products, the decoder's inner
+loop, is one kernel on the handle: every convolution, scaled to the lcm of
+the products' denominators, lands in one buffer, which reduces once and
+ends in one gcd.  The reduction is linear and the canonical form unique, so
+the sum equals the sum of the canonical products, bit for bit.  A scalar
+factor, rational or in K, is read as a denominator and a row of numerators;
+it scales den and each row.  One exponent map,
 zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois action sigma_u
 (s = 0; theta of the cyclotomic tower is sigma_g), ``zeta(e)``, and the
 Kummer theta^j, which shifts row i by i j.  It needs no gcd: sigma_u and the
@@ -222,6 +228,11 @@ class RationalField:
     def to_text(self, value) -> str:
         return scalar_to_text(self.coerce(value))
 
+    @staticmethod
+    def _sum_products(pairs: Sequence[tuple]) -> Fraction:
+        # a plain Fraction sum: only tests eliminate over QQ
+        return sum(a * b for a, b in pairs)
+
     def from_text(self, text: str) -> Fraction:
         text = text.strip()
         # Fraction expands a decimal exponent in full: "1e10000000" takes
@@ -283,10 +294,7 @@ class _Element:
 
     @property
     def coords(self) -> tuple:
-        # one scalar per row of _width numerators, cut by one shared iterator
-        field = self.field
-        rows = zip(*[iter(self.nums)] * field._width)
-        return tuple(map(field._scalar, itertools.repeat(self.den), rows))
+        return self.field._coords(self.den, self.nums)
 
     def _match(self, other):
         # other as an element of this field, or NotImplemented; an element of
@@ -398,7 +406,7 @@ class _Element:
         field, nums = self.field, self.nums
         w = field._width
         if not any(nums[w:]):
-            return hash(field._scalar(self.den, nums[:w]))
+            return hash(field._coords(self.den, nums[:w])[0])
         return hash((field, self.den, nums))
 
     def __bool__(self) -> bool:
@@ -434,14 +442,17 @@ class _CoordinateField:
 
     Two handles are equal when their ``_key``, the class name and the
     construction parameters, is; ``_element`` is the class of their elements.
-    Each subclass provides the hooks that :class:`_Element` calls: ``_width``
-    numerators per coordinate, ``_scalar_parts`` (a scalar as its
-    denominator and row of numerators) and ``_scalar`` (the reverse),
-    ``_mul_nums`` and ``_q`` (the product and the denominator it leaves),
-    ``_scale_nums`` (each row times a scalar's row), ``_conjugate_product``
-    and ``_divide_by_norm`` for the inverse, and ``_theta_nums`` on a tower.
-    ``_scalar_parts`` is the only way a scalar enters an element: a product
-    with a scalar, ``embed_scalar`` and ``from_coords`` all read it there.
+    Each subclass provides the hooks that :class:`_Element` and the handle
+    call: ``_width`` numerators per coordinate; ``_scalar_parts`` (one
+    scalar as its denominator and row of numerators, for a product with a
+    scalar and ``embed_scalar``); ``_numerators`` (m scalars as one
+    denominator and its numerators, for ``from_coords``) and ``_coords``
+    (the reverse, the scalars of den and numerators), each one call per
+    vector; ``_mul_nums`` and ``_q`` (the product and the denominator it
+    leaves); ``_sum_products`` (a sum of products, reduced once, for
+    ``exact_linalg._dot``); ``_scale_nums`` (each row times a scalar's row);
+    ``_conjugate_product`` and ``_divide_by_norm`` for the inverse; and
+    ``_theta_nums`` on a tower.
     """
 
     _element: type
@@ -481,15 +492,10 @@ class _CoordinateField:
         return self._element(self, 1, tuple(nums))
 
     def from_coords(self, coords: Iterable) -> _Element:
-        # over the least common denominator of the canonical coordinates,
-        # which is canonical: a prime power exactly dividing it exactly
-        # divides one coordinate's denominator, whose numerators it leaves
-        # prime to it
-        parts = list(map(self._scalar_parts, coords))
-        if len(parts) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(parts)}")
-        den = math.lcm(*(q for q, _ in parts))
-        return self._element(self, den, tuple(x * (den // q) for q, row in parts for x in row))
+        values = list(coords)
+        if len(values) != self.m:
+            raise ValueError(f"expected {self.m} coordinates, got {len(values)}")
+        return self._element(self, *self._numerators(values))
 
     def embed_scalar(self, value) -> _Element:
         den, row = self._scalar_parts(value)
@@ -545,8 +551,22 @@ class CyclotomicField(_CoordinateField):
     _scalar_parts = staticmethod(_rational_parts)
 
     @staticmethod
-    def _scalar(den: int, row: Sequence[int]) -> Fraction:
-        return Fraction(row[0], den) if den != 1 else Fraction(row[0])
+    def _coords(den: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
+        if den == 1:
+            return tuple(map(Fraction, nums))
+        return tuple(map(Fraction, nums, itertools.repeat(den)))
+
+    @staticmethod
+    def _numerators(values: Sequence) -> tuple[int, tuple[int, ...]]:
+        # rationals over their least common denominator, which is canonical:
+        # a prime power exactly dividing it exactly divides one denominator,
+        # whose numerator it leaves prime to it
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(v).__name__} to a rational")
+        dens = [v.denominator for v in values]
+        den = math.lcm(*dens)
+        return den, tuple(v.numerator * (den // q) for v, q in zip(values, dens))
 
     @staticmethod
     def _scale_nums(nums: Sequence[int], y: Sequence[int]) -> list[int]:
@@ -573,13 +593,34 @@ class CyclotomicField(_CoordinateField):
         return tuple(nums[:d])
 
     def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        # product of two numerator vectors: convolve, then reduce
+        # product of two numerator vectors: convolve, the one with more zeros
+        # outside, then reduce
+        if a.count(0) < b.count(0):
+            a, b = b, a
         prod = [0] * (2 * self.m - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
         return self._reduce(prod)
+
+    def _sum_products(self, pairs: Sequence[tuple]) -> CyclotomicElement:
+        # sum of a * b over pairs of nonzero elements, on numerators: each
+        # product convolves, scaled to the lcm of the a.den b.den, into one
+        # buffer, which reduces once and ends in one gcd
+        dens = [a.den * b.den for a, b in pairs]
+        den = math.lcm(*dens)
+        buf = [0] * (2 * self.m - 1)
+        for (a, b), t in zip(pairs, dens):
+            s, a, b = den // t, a.nums, b.nums
+            if a.count(0) < b.count(0):
+                a, b = b, a
+            for i, x in enumerate(a):
+                if x:
+                    x *= s
+                    for j, y in enumerate(b):
+                        buf[i + j] += x * y
+        return CyclotomicElement._canonical(self, den, self._reduce(buf))
 
     def _move(self, nums: Sequence[int], u: int, s: int = 0) -> tuple[int, ...]:
         # The numerator of zeta^e moves to zeta^(u e + s), for u prime to
@@ -683,10 +724,11 @@ class KummerTower(Tower):
         self.radicand = radicand
         self._p, self._q = radicand.numerator, radicand.denominator
         self._width = d = self.scalar_field.m  # a row of numerators per power of alpha
-        self._scalar = functools.partial(CyclotomicElement._canonical, self.scalar_field)
+        self._row_element = functools.partial(CyclotomicElement._canonical, self.scalar_field)
         # offset of the numerator of zeta^e alpha^i, index i d + e, in the
-        # product's buffer of rows of 2 d - 1
+        # product's buffer of 2 n - 1 rows of 2 d - 1
         self._offsets = [i * (2 * d - 1) + e for i in range(n) for e in range(d)]
+        self._buffer_size = (2 * n - 1) * (2 * d - 1)
         self._check_theta_order()
 
     @staticmethod
@@ -713,22 +755,59 @@ class KummerTower(Tower):
         x = self.scalar_field.coerce(value)
         return x.den, x.nums
 
+    def _coords(self, den: int, nums: Sequence[int]) -> tuple[CyclotomicElement, ...]:
+        # each row of numerators over den, as a canonical K-element; the rows
+        # are cut by one shared iterator
+        rows = zip(*[iter(nums)] * self._width)
+        return tuple(map(self._row_element, itertools.repeat(den), rows))
+
+    def _numerators(self, values: Sequence) -> tuple[int, tuple[int, ...]]:
+        # K-elements over their least common denominator, canonical by the
+        # argument of CyclotomicField._numerators
+        coords = list(map(self.scalar_field.coerce, values))
+        den = math.lcm(*(c.den for c in coords))
+        return den, tuple(x * (den // c.den) for c in coords for x in c.nums)
+
     def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         # q a b for numerator rows a, b, where radicand = p / q: one 2-D
         # convolution into rows of 2 phi(n) - 1 that skips zero numerators,
-        # then rows n and up fold down to alpha^(i+j-n) times p, the rows
-        # below n are taken times q, and each row reduces by the monic Phi_n.
-        # As 4 | n, 2 phi(n) - 1 < n, so no row needs the fold zeta^n = 1.
-        d, p, q, offsets = self.scalar_field.m, self._p, self._q, self._offsets
-        w = 2 * d - 1
-        low = self.n * w
-        buf = [0] * (2 * low - w)
+        # then the reduction
+        offsets = self._offsets
+        buf = [0] * self._buffer_size
         terms = [(offsets[k], y) for k, y in enumerate(b) if y]
         for k, x in enumerate(a):
             if x:
                 at = offsets[k]
                 for off, y in terms:
                     buf[at + off] += x * y
+        return self._reduce(buf)
+
+    def _sum_products(self, pairs: Sequence[tuple]) -> FieldElement:
+        # sum of a * b over pairs of nonzero elements, on numerators: each
+        # 2-D convolution, scaled to the lcm of the a.den b.den, lands in one
+        # buffer, which reduces once; with q the den gains, one gcd ends it
+        offsets = self._offsets
+        dens = [a.den * b.den for a, b in pairs]
+        den = math.lcm(*dens)
+        buf = [0] * self._buffer_size
+        for (a, b), t in zip(pairs, dens):
+            s = den // t
+            terms = [(offsets[k], y) for k, y in enumerate(b.nums) if y]
+            for k, x in enumerate(a.nums):
+                if x:
+                    at, x = offsets[k], s * x
+                    for off, y in terms:
+                        buf[at + off] += x * y
+        return FieldElement._canonical(self, den * self._q, self._reduce(buf))
+
+    def _reduce(self, buf: list[int]) -> tuple[int, ...]:
+        # numerators of q times the convolution buffer, reduced in place:
+        # rows n and up fold down to alpha^(i+j-n) times p, the rows below
+        # n are taken times q, and each row reduces by the monic Phi_n.  As
+        # 4 | n, 2 phi(n) - 1 < n, so no row needs the fold zeta^n = 1.
+        d, p, q = self._width, self._p, self._q
+        w = 2 * d - 1
+        low = self.n * w
         if q != 1:
             buf[:low] = [q * v for v in buf[:low]]
         for k in range(low, len(buf)):

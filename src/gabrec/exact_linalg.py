@@ -1,11 +1,12 @@
 """Exact Gaussian elimination over any field handle.
 
 A field handle is any object exposing ``zero``, ``one``, ``coerce``,
-``to_text`` and ``from_text`` (see :mod:`gabrec.exact_algebra`); entries
-only need the arithmetic operators.  :class:`Matrix` is an immutable
-container; the products recovery needs live with the code
-(``gabrec.gabidulin``).  Elimination keeps every intermediate value exact,
-so reduced forms, ranks and kernels are never approximate.
+``to_text``, ``from_text`` and ``_sum_products`` (see
+:mod:`gabrec.exact_algebra`); entries only need the arithmetic operators.
+:class:`Matrix` is an immutable container; the products recovery needs
+live with the code (``gabrec.gabidulin``).  Elimination keeps every
+intermediate value exact, so reduced forms, ranks and kernels are never
+approximate.
 
 There are two eliminations.  ``rref`` is Gauss-Jordan with one inverse per
 pivot, each pivot row scaled before it clears its column; ``rank``,
@@ -20,9 +21,16 @@ row, whitespace-separated.  ``_read_matrix_text`` reads that layout back as
 rows of tokens, which the command line's ``approx`` reads as decimal or
 complex numbers.
 
-``_dot`` is the package's one sum of products.  It skips zero factors and
-a factor that is ``field.one`` itself, the pivot both eliminations set.  It
-stays out of ``__all__``, whose functions the benchmark's tracer wraps.
+``_dot`` is the package's one sum of products: the decoder's
+B = E_bottom S, S v and E_top (S v), ``encode``, the syndrome, the back
+substitution above and ``SkewPoly.evaluate`` all call it.  It drops the
+pairs with a zero factor.  Two products or more go to the handle's
+``_sum_products``, which works on numerators: every convolution lands in
+one buffer over the lcm of the products' denominators, which reduces once
+and ends in one gcd; over QQ it is a plain ``Fraction`` sum.  The sum is canonical, so it equals the
+term-by-term sum bit for bit.  Its products never pass through the
+elements' ``__mul__``.  ``_dot`` stays out of ``__all__``, whose functions
+the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -203,17 +211,20 @@ def first_kernel_vector(matrix: Matrix) -> tuple | None:
 
 
 def _dot(field, pairs):
-    """Sum of a * b over the pairs, skipping zero factors; a = field.one multiplies nothing.
+    """Sum of a * b over the pairs: the products of nonzero factors, summed by the handle.
 
-    The ones are the pivots that ``rref`` and ``first_kernel_vector`` set to
-    ``field.one`` itself, so an identity test finds them.
+    Two products or more go to ``field._sum_products``, which reduces and
+    normalises the sum once.  One product is taken directly, and b itself
+    when a is ``field.one`` itself: that is the entry that
+    ``first_kernel_vector`` sets, which an identity test finds.
     """
-    one, total = field.one, None
-    for a, b in pairs:
-        if a and b:
-            term = b if a is one else a * b
-            total = term if total is None else total + term
-    return field.zero if total is None else total
+    terms = [(a, b) for a, b in pairs if a and b]
+    if len(terms) > 1:
+        return field._sum_products(terms)
+    if not terms:
+        return field.zero
+    ((a, b),) = terms
+    return b if a is field.one else a * b
 
 
 def format_matrix(matrix: Matrix) -> str:

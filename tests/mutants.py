@@ -31,6 +31,12 @@ multiple of the least one and divides to the same quotient, with a
 remainder that is zero exactly when the least one's is: the decoded error
 and the failure exit stay the same.
 
+The mutants of the operand swap in the Q(zeta_n) convolutions, which put
+the factor with more zero numerators in the outer loop, are equivalent and
+left out: dropping the swap or reversing its test changes only which
+operand the loops skip zeros of.  A product commutes, so only the speed
+moves.
+
 One mutant of the inverse is equivalent and left out: dropping the
 positive-norm check of ``CyclotomicField._divide_by_norm``.  The norm of
 a nonzero element of Q(zeta_n) is always a positive integer, since the
@@ -68,6 +74,7 @@ ALGEBRA = ("tests/test_exact_algebra.py",)
 RANK = ("tests/test_rank_metric.py",)
 RECORD = ("tests/test_lrmr.py::test_recover_validates_record",)
 LOADERS = ("tests/test_lrmr.py::test_loaders_refuse_malformed_json",)
+SUM = ("tests/test_exact_algebra.py::test_fused_sum_matches_term_by_term_sum",)
 
 MUTANTS = (
     Mutant("kernel: skip the row swap", "exact_linalg.py",
@@ -96,7 +103,8 @@ MUTANTS = (
     Mutant("decode: E split at t-1", "gabidulin.py",
            "return block[:t], block[t:]", "return block[: t - 1], block[t - 1 :]", DECODE),
     Mutant("decode: skip the terms with an exact-one factor in _dot", "exact_linalg.py",
-           "        if a and b:\n", "        if a and b and a is not one:\n", DECODE),
+           "for a, b in pairs if a and b]", "for a, b in pairs if a and b and a is not field.one]",
+           DECODE),
     Mutant("decode: drop the degree exit", "gabidulin.py",
            "    if message.degree >= k:\n", "    if False:\n", DECODE),
     Mutant("decode: drop the remainder exit", "gabidulin.py",
@@ -171,6 +179,24 @@ MUTANTS = (
            "if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):",
            "if False:",
            ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
+    Mutant("sum of products: drop the lcm rescale of a Q(zeta_n) term", "exact_algebra.py",
+           "s, a, b = den // t, a.nums, b.nums", "s, a, b = 1, a.nums, b.nums", SUM),
+    Mutant("sum of products: drop the lcm rescale of a Kummer term", "exact_algebra.py",
+           "at, x = offsets[k], s * x", "at, x = offsets[k], x", SUM),
+    Mutant("sum of products: drop q from the Kummer sum's denominator", "exact_algebra.py",
+           "FieldElement._canonical(self, den * self._q, self._reduce(buf))",
+           "FieldElement._canonical(self, den, self._reduce(buf))", SUM),
+    Mutant("sum of products: return a one-product sum's first factor unmultiplied",
+           "exact_linalg.py", "return b if a is field.one else a * b",
+           "return b if a is field.one else a", SUM),
+    Mutant("Kummer reduction: scale the low rows by q twice", "exact_algebra.py",
+           "buf[:low] = [q * v for v in buf[:low]]", "buf[:low] = [q * q * v for v in buf[:low]]",
+           ALGEBRA),
+    Mutant("coordinates: let a float reach the numerators", "exact_algebra.py",
+           "            if not isinstance(v, (int, Fraction)):\n", "            if False:\n",
+           ("tests/test_exact_algebra.py::test_coordinates_are_strict",)),
+    Mutant("coordinates: drop the lcm rescale of a rational", "exact_algebra.py",
+           "v.numerator * (den // q)", "v.numerator", ALGEBRA),
     Mutant("matrix text: accept negative counts", "exact_linalg.py",
            "if not (tokens[0].isdecimal() and tokens[1].isdecimal()):",
            'if not (tokens[0].lstrip("-").isdecimal() and tokens[1].lstrip("-").isdecimal()):',

@@ -23,6 +23,7 @@ from gabrec.exact_algebra import (
     is_prime,
     smallest_primitive_root,
 )
+from gabrec.exact_linalg import _dot
 
 
 def test_cyclotomic_tower_shape(zeta5):
@@ -540,7 +541,9 @@ def test_cyclotomic_tower_kernels_match_fraction_reference(p):
     tower = make_tower("cyclotomic", p)
     elements = [tower.from_coords(c) for c in _probe_coords(rng, tower.m)]
     for a in elements:
-        for b in elements[:4]:
+        # every one-term probe is a right factor too, so a sparse operand
+        # meets the reference in both orders
+        for b in elements:
             assert (a * b).coords == _ref_mul(tower, a.coords, b.coords)
         for j in (-tower.m - 2, -1, 0, 1, 2, tower.m - 1, tower.m, 2 * tower.m + 3):
             g_j = pow(tower.primitive_root, j % tower.m, p)
@@ -800,3 +803,59 @@ def test_inverse_by_doubling_matches_sequential_product(spec):
         assert ratio > 0
         assert a.inverse() == sequential / (a * sequential)
         assert a.inverse().coords == _ref_tower_inverse(tower, a)
+
+
+SUM_HANDLES = {
+    "cyc5": lambda: make_tower("cyclotomic", 5),
+    "cyc7": lambda: make_tower("cyclotomic", 7),
+    "cyc11": lambda: make_tower("cyclotomic", 11),
+    "field8": lambda: CyclotomicField(8),
+    "field12": lambda: CyclotomicField(12),
+    "k4": lambda: make_tower("kummer", 4),
+    "k8-3": lambda: make_tower("kummer", 8, 3),
+    # q = 2: every product's denominator carries the factor q
+    "k4-3/2": lambda: make_tower("kummer", 4, Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("make", SUM_HANDLES.values(), ids=SUM_HANDLES.keys())
+def test_fused_sum_matches_term_by_term_sum(make):
+    # _dot reduces and normalises a sum of products once; it must equal the
+    # sum of the canonical products, bit for bit
+    handle = make()
+    rng = random.Random(handle.m)
+    zero, one = handle.zero, handle.one
+
+    def one_term():
+        # +-c times one Q-basis vector: c zeta^e, or c zeta^e alpha^i
+        nums = [0] * len(one.nums)
+        nums[rng.randrange(len(nums))] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        return type(one)._canonical(handle, rng.randint(1, 6), nums)
+
+    def rational():
+        return handle.embed_scalar(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)))
+
+    dense = [_random_element(handle, rng) * Fraction(1, d) for d in (1, 5, 7)]
+    pool = [zero, one, *(one_term() for _ in range(4)), rational(), rational(), *dense]
+    x, y, z = dense
+    cases = [
+        [],
+        [(zero, x)],
+        [(x, zero), (zero, zero), (zero, y)],
+        [(one, x)],
+        [(x, one)],
+        [(x, y)],
+        [(zero, x), (y, z)],
+        [(one, x), (y, z)],
+        [(one, x), (one, y), (z, one)],
+        [(x, y), (y, z), (z, x)],
+        [(x, y), (-x, y)],
+    ]
+    cases += [[tuple(rng.sample(pool, 2)) for _ in range(rng.randint(2, 6))] for _ in range(40)]
+    for pairs in cases:
+        expected = functools.reduce(operator.add, (a * b for a, b in pairs), zero)
+        got = _dot(handle, pairs)
+        assert got == expected and type(got) is type(expected)
+        terms = [(a, b) for a, b in pairs if a and b]
+        if len(terms) > 1:
+            assert handle._sum_products(terms) == expected
