@@ -9,10 +9,8 @@ redundancy.  Everything runs in exact rational arithmetic.
 
 from .exact_algebra import (
     QQ,
-    CyclotomicElement,
     CyclotomicField,
     CyclotomicTower,
-    FieldElement,
     KummerTower,
     Tower,
     make_tower,
@@ -47,10 +45,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ",
-    "CyclotomicElement",
     "CyclotomicField",
     "CyclotomicTower",
-    "FieldElement",
     "KummerTower",
     "Tower",
     "make_tower",

@@ -43,8 +43,8 @@ loop, is one kernel on the handle: every convolution, scaled to the lcm of
 the products' denominators, lands in one buffer, which reduces once and
 ends in one gcd.  The reduction is linear and the canonical form unique, so
 the sum equals the sum of the canonical products, bit for bit.  A scalar
-factor, rational or in K, is read as a denominator and a row of numerators;
-it scales den and each row.  One exponent map,
+operand, rational or in K, is embedded as an element of the field, in its
+first coordinate, and then added or multiplied as one.  One exponent map,
 zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois action sigma_u
 (s = 0; theta of the cyclotomic tower is sigma_g), ``zeta(e)``, and the
 Kummer theta^j, which shifts row i by i j.  It needs no gcd: sigma_u and the
@@ -56,7 +56,8 @@ conjugates of x divided by N(x), the product of all of them, taken on the
 numerators of den x.  In a tower, theta generates the Galois group, so P is
 built by doubling in O(log m) products; in a plain Q(zeta_n) it is the
 product of sigma_u(x) for the units u != 1 modulo n.  In Q(zeta_n), N is a
-positive integer; in the Kummer L it lies in K and is inverted there once.
+positive integer; in the Kummer L it lies in K, is inverted there once and
+scales P as an embedded element, by one product.
 
 The two element classes are names only, kept for the benchmark's tracer,
 which counts K- and L-operators by patching each class's own product,
@@ -237,8 +238,9 @@ class RationalField:
         text = text.strip()
         # Fraction expands a decimal exponent in full: "1e10000000" takes
         # seconds.  The bound is Python's default digit limit for int strings.
+        # Fraction takes digit separators in the exponent from Python 3.11 on.
         _, marker, exponent = text.lower().partition("e")
-        digits = exponent.lstrip("+-").lstrip("0")
+        digits = exponent.replace("_", "").lstrip("+-").lstrip("0")
         if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):
             raise ValueError(f"decimal exponent beyond 4300 in {text!r}")
         try:
@@ -339,15 +341,12 @@ class _Element:
         return type(self)(self.field, self.den, tuple(-x for x in self.nums))
 
     def __mul__(self, other):
-        field = self.field
-        if isinstance(other, _Element) and (other.field is field or other.field == field):
-            product = field._mul_nums(self.nums, other.nums)
-            return self._canonical(field, self.den * other.den * field._q, product)
-        try:
-            den, row = field._scalar_parts(other)
-        except TypeError:
+        other = self._match(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self._canonical(field, self.den * den, field._scale_nums(self.nums, row))
+        field = self.field
+        product = field._mul_nums(self.nums, other.nums)
+        return self._canonical(field, self.den * other.den * field._q, product)
 
     __rmul__ = __mul__
 
@@ -444,15 +443,14 @@ class _CoordinateField:
     construction parameters, is; ``_element`` is the class of their elements.
     Each subclass provides the hooks that :class:`_Element` and the handle
     call: ``_width`` numerators per coordinate; ``_scalar_parts`` (one
-    scalar as its denominator and row of numerators, for a product with a
-    scalar and ``embed_scalar``); ``_numerators`` (m scalars as one
-    denominator and its numerators, for ``from_coords``) and ``_coords``
-    (the reverse, the scalars of den and numerators), each one call per
-    vector; ``_mul_nums`` and ``_q`` (the product and the denominator it
-    leaves); ``_sum_products`` (a sum of products, reduced once, for
-    ``exact_linalg._dot``); ``_scale_nums`` (each row times a scalar's row);
-    ``_conjugate_product`` and ``_divide_by_norm`` for the inverse; and
-    ``_theta_nums`` on a tower.
+    scalar as its denominator and row of numerators, for ``embed_scalar``,
+    through which a scalar operand enters every operator); ``_numerators``
+    (m scalars as one denominator and its numerators, for ``from_coords``)
+    and ``_coords`` (the reverse, the scalars of den and numerators), each
+    one call per vector; ``_mul_nums`` and ``_q`` (the product and the
+    denominator it leaves); ``_sum_products`` (a sum of products, reduced
+    once, for ``exact_linalg._dot``); ``_conjugate_product`` and
+    ``_divide_by_norm`` for the inverse; and ``_theta_nums`` on a tower.
     """
 
     _element: type
@@ -567,11 +565,6 @@ class CyclotomicField(_CoordinateField):
         dens = [v.denominator for v in values]
         den = math.lcm(*dens)
         return den, tuple(v.numerator * (den // q) for v, q in zip(values, dens))
-
-    @staticmethod
-    def _scale_nums(nums: Sequence[int], y: Sequence[int]) -> list[int]:
-        # numerators times the one rational numerator y[0]
-        return [y[0] * x for x in nums]
 
     def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta^power, reduced to the power basis."""
@@ -825,24 +818,14 @@ class KummerTower(Tower):
             out += buf[r : r + d]
         return tuple(out)
 
-    def _scale_nums(self, nums: Sequence[int], y: Sequence[int]) -> list[int]:
-        # each row of numerators times the K-numerators y
-        base = self.scalar_field
-        d = base.m
-        out = []
-        for r in range(0, len(nums), d):
-            row = nums[r : r + d]
-            out.extend(base._mul_nums(row, y) if any(row) else row)
-        return out
-
     def _divide_by_norm(self, product: Sequence[int], norm: Sequence[int]) -> tuple:
-        # N lies in K, or the ring is not a field; its one K-inverse (no gcd
-        # needed: inverse() returns canonical form) scales the rows of P
+        # N lies in K, or the ring is not a field; P times its one K-inverse,
+        # embedded in L, is one product, which leaves the factor q
         d = self._width
         if not any(norm[:d]) or any(norm[d:]):
             raise ArithmeticError("norm is zero or not in the base field")
-        scale = CyclotomicElement(self.scalar_field, 1, norm[:d]).inverse()
-        return scale.den, self._scale_nums(product, scale.nums)
+        scale = self.embed_scalar(CyclotomicElement(self.scalar_field, 1, norm[:d]).inverse())
+        return scale.den * self._q, self._mul_nums(product, scale.nums)
 
     def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
         # theta^j: alpha^i -> zeta^(i j) alpha^i, so row i shifts by i j

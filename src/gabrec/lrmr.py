@@ -89,7 +89,7 @@ def random_low_rank(
     n: int,
     r: int,
     height_bound: int,
-    rng: random.Random | None = None,
+    rng: random.Random,
     field=QQ,
 ) -> Matrix:
     """Sum of r random integer outer products, resampled until the rank is exact."""
@@ -97,7 +97,6 @@ def random_low_rank(
         raise ValueError(f"rank {r} is infeasible for a {m}x{n} matrix")
     if height_bound < 1:
         raise ValueError("height bound must be at least 1")
-    rng = rng if rng is not None else random.Random()
     while True:
         grid = [[0] * n for _ in range(m)]
         for _ in range(r):

@@ -125,9 +125,14 @@ MUTANTS = (
            "if not any(norm[:d]) or any(norm[d:]):", "if False:", ALGEBRA),
     Mutant("recover: skip the record length check", "lrmr.py",
            "if len(record.y) != m * r:", "if False:", RECORD),
-    Mutant("scalar product: drop the rational factor", "exact_algebra.py",
-           "return [y[0] * x for x in nums]", "return list(nums)",
-           ("tests/test_exact_algebra.py::test_coords_are_base_linear",)),
+    Mutant("product: drop q from the denominator", "exact_algebra.py",
+           "self.den * other.den * field._q", "self.den * other.den", ALGEBRA),
+    Mutant("Kummer inverse: drop q from the norm division's denominator", "exact_algebra.py",
+           "return scale.den * self._q, self._mul_nums(product, scale.nums)",
+           "return scale.den, self._mul_nums(product, scale.nums)", ALGEBRA),
+    Mutant("Kummer inverse: skip the product with the norm's inverse", "exact_algebra.py",
+           "return scale.den * self._q, self._mul_nums(product, scale.nums)",
+           "return scale.den * self._q, product", ALGEBRA),
     Mutant("basis: vector i at index i, not i * width", "exact_algebra.py",
            "nums[i * self._width] = 1", "nums[i] = 1", ALGEBRA),
     Mutant("code: skip the check that the points are independent over K", "gabidulin.py",
@@ -178,6 +183,9 @@ MUTANTS = (
     Mutant("rational text: drop the exponent bound", "exact_algebra.py",
            "if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):",
            "if False:",
+           ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
+    Mutant("rational text: let digit separators past the exponent bound", "exact_algebra.py",
+           'exponent.replace("_", "").lstrip("+-")', 'exponent.lstrip("+-")',
            ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
     Mutant("sum of products: drop the lcm rescale of a Q(zeta_n) term", "exact_algebra.py",
            "s, a, b = den // t, a.nums, b.nums", "s, a, b = 1, a.nums, b.nums", SUM),

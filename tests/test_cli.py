@@ -215,6 +215,9 @@ def test_approx_usage_errors(tmp_path, capsys):
     src.write_text("1 1\n1e10000000\n")
     assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
     assert "bad matrix entry '1e10000000'" in capsys.readouterr().err
+    src.write_text("1 1\n1e4_301\n")
+    assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR
+    assert "bad matrix entry '1e4_301'" in capsys.readouterr().err
     # negative counts are refused at the header, not later as an empty matrix
     src.write_text("-1 -1\n5\n")
     assert main(["approx", str(src), "--epsilon", "1e-6"]) == USAGE_ERROR

@@ -310,7 +310,10 @@ def test_rational_text_bounds_the_exponent(kummer4):
     # Fraction would expand 10**10000000 in full; the reader refuses first
     for text in ("1e300", "2e-3", "3/2", "1e4300", "-1E-4300", "1e+04300"):
         assert QQ.from_text(text) == Fraction(text)
-    for text in ("1e5000", "1E-4301", "1e+004301", "1e10000000", "1e" + "9" * 5000):
+    # the last two carry digit separators, which Fraction reads in an
+    # exponent from Python 3.11 on
+    for text in ("1e5000", "1E-4301", "1e+004301", "1e10000000", "1e" + "9" * 5000,
+                 "1e4_301", "1E-43_01"):
         with pytest.raises(ValueError, match="exponent"):
             QQ.from_text(text)
     with pytest.raises(ValueError, match="exponent"):
@@ -413,8 +416,7 @@ def test_element_classes_only_bind_the_shared_operators():
 def test_mixed_level_operands_act_as_embedded_scalars(radicand):
     # x op s and s op x, for s an int, a Fraction or a K-element, equal the
     # operation with s embedded in L; with a K-element on the left, K answers
-    # NotImplemented and L takes over.  Products in both orders are covered
-    # by test_kummer_elements_are_flat_and_canonical.
+    # NotImplemented and L takes over.
     tower = make_tower("kummer", 4, radicand)
     rng = random.Random(14)
     k = tower.scalar_field.from_coords([Fraction(2, 3), Fraction(-5, 4)])
@@ -422,7 +424,7 @@ def test_mixed_level_operands_act_as_embedded_scalars(radicand):
         x = rand_nonzero_element(tower, rng)
         for s in (3, Fraction(-7, 2), k):
             e = tower.embed_scalar(s)
-            for op in (operator.add, operator.sub, operator.truediv):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
                 assert op(x, s) == op(x, e) and type(op(x, s)) is FieldElement
                 assert op(s, x) == op(e, x) and type(op(s, x)) is FieldElement
 
