@@ -32,24 +32,25 @@ measurement records and takes no part in the arithmetic.
 
 One implementation, ``_Element``, holds every operator; what differs between
 fields is a hook on the handle.  Sums and differences add numerators over the
-shared denominator, or cross-multiply, and end in one gcd.  A product in
-Q(zeta_n) convolves the numerators, the factor with more zeros in the outer
-loop, folds degrees from n down by zeta^n = 1 and reduces the rest by the
-monic integer cyclotomic polynomial; one in the Kummer L is a 2-D
-convolution over the nonzero numerators whose rows fold by
-alpha^n = radicand and reduce by Phi_n, and den gains the radicand's
-denominator.  One gcd ends each.  A sum of products, the decoder's inner
-loop, is one kernel on the handle: every convolution, scaled to the lcm of
-the products' denominators, lands in one buffer, which reduces once and
-ends in one gcd.  The reduction is linear and the canonical form unique, so
-the sum equals the sum of the canonical products, bit for bit.  A scalar
-operand, rational or in K, is embedded as an element of the field, in its
-first coordinate, and then added or multiplied as one.  One exponent map,
-zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois action sigma_u
-(s = 0; theta of the cyclotomic tower is sigma_g), ``zeta(e)``, and the
-Kummer theta^j, which shifts row i by i j.  It needs no gcd: sigma_u and the
-product with the unit zeta^s map the lattice Z[zeta], whose Z-basis is the
-power basis, onto itself.
+shared denominator, or cross-multiply, and end in one gcd.  Each handle has
+one convolution, which adds the product of two numerator vectors into a
+buffer.  In Q(zeta_n) it is 1-D, the factor with more zeros in the outer
+loop, and the buffer folds degrees from n down by zeta^n = 1 and reduces the
+rest by the monic integer cyclotomic polynomial.  In the Kummer L it is 2-D
+over the nonzero numerators, the rows fold by alpha^n = radicand and reduce
+by Phi_n, and den gains the radicand's denominator.  A product convolves
+into a fresh buffer, reduces it and ends in one gcd.  A sum of products, the
+decoder's inner loop, is written once for every handle: every convolution,
+scaled to the lcm of the products' denominators, lands in one buffer, which
+reduces once and ends in one gcd.  The reduction is linear and the canonical
+form unique, so the sum equals the sum of the canonical products, bit for
+bit.  A scalar operand, rational or in K, is embedded as an element of the
+field, in its first coordinate, and then added or multiplied as one.  One
+exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois
+action sigma_u (s = 0; theta of the cyclotomic tower is sigma_g),
+``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.  It needs
+no gcd: sigma_u and the product with the unit zeta^s map the lattice
+Z[zeta], whose Z-basis is the power basis, onto itself.
 
 The inverse comes from the norm: x^-1 is the product P of the other Galois
 conjugates of x divided by N(x), the product of all of them, taken on the
@@ -241,7 +242,7 @@ class RationalField:
         # Fraction takes digit separators in the exponent from Python 3.11 on.
         _, marker, exponent = text.lower().partition("e")
         digits = exponent.replace("_", "").lstrip("+-").lstrip("0")
-        if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):
+        if marker and digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
             raise ValueError(f"decimal exponent beyond 4300 in {text!r}")
         try:
             return Fraction(text)
@@ -345,8 +346,9 @@ class _Element:
         if other is NotImplemented:
             return NotImplemented
         field = self.field
-        product = field._mul_nums(self.nums, other.nums)
-        return self._canonical(field, self.den * other.den * field._q, product)
+        buf = [0] * field._buffer_size
+        field._convolve(buf, self.nums, other.nums)
+        return self._canonical(field, self.den * other.den * field._q, field._reduce(buf))
 
     __rmul__ = __mul__
 
@@ -447,10 +449,14 @@ class _CoordinateField:
     through which a scalar operand enters every operator); ``_numerators``
     (m scalars as one denominator and its numerators, for ``from_coords``)
     and ``_coords`` (the reverse, the scalars of den and numerators), each
-    one call per vector; ``_mul_nums`` and ``_q`` (the product and the
-    denominator it leaves); ``_sum_products`` (a sum of products, reduced
-    once, for ``exact_linalg._dot``); ``_conjugate_product`` and
-    ``_divide_by_norm`` for the inverse; and ``_theta_nums`` on a tower.
+    one call per vector; ``_convolve`` (adds the product of two numerator
+    vectors into a buffer of ``_buffer_size`` integers), ``_reduce`` (the
+    buffer as numerators) and ``_q`` (the denominator a product leaves);
+    ``_conjugate_product`` and ``_divide_by_norm`` for the inverse; and
+    ``_theta_nums`` on a tower.  Over ``_convolve``, ``_reduce`` and ``_q``
+    the handle implements, once for every field, ``_mul_nums`` (a product
+    of numerators) and ``_sum_products`` (a sum of products reduced once,
+    for ``exact_linalg._dot``).
     """
 
     _element: type
@@ -515,6 +521,24 @@ class _CoordinateField:
     def from_text(self, text: str) -> _Element:
         return self.from_coords([self.scalar_field.from_text(p) for p in _split_tuple(text)])
 
+    def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        # numerators of the product of two numerator vectors, times _q
+        buf = [0] * self._buffer_size
+        self._convolve(buf, a, b)
+        return self._reduce(buf)
+
+    def _sum_products(self, pairs: Sequence[tuple]) -> _Element:
+        # sum of a * b over pairs of nonzero elements, on numerators: each
+        # convolution, scaled to the lcm of the a.den b.den, lands in one
+        # buffer, which reduces once; with _q the den gains, one gcd ends it
+        dens = [a.den * b.den for a, b in pairs]
+        den = math.lcm(*dens)
+        buf = [0] * self._buffer_size
+        convolve = self._convolve
+        for (a, b), t in zip(pairs, dens):
+            convolve(buf, a.nums if t == den else [den // t * x for x in a.nums], b.nums)
+        return self._element._canonical(self, den * self._q, self._reduce(buf))
+
 
 class CyclotomicField(_CoordinateField):
     """The field generated over the rationals by a primitive n-th root of unity.
@@ -533,6 +557,7 @@ class CyclotomicField(_CoordinateField):
             raise ValueError("conductor must be at least 3")
         super().__init__(QQ, euler_phi(conductor), conductor)
         self.conductor = conductor
+        self._buffer_size = 2 * self.m - 1
         # nonzero lower coefficients of the monic integer modulus
         self._reduction_terms = [
             (i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:-1]) if c
@@ -585,35 +610,16 @@ class CyclotomicField(_CoordinateField):
                     nums[k - d + i] -= c * coeff
         return tuple(nums[:d])
 
-    def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        # product of two numerator vectors: convolve, the one with more zeros
-        # outside, then reduce
+    @staticmethod
+    def _convolve(buf: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+        # adds the convolution of two numerator vectors into buf, the one
+        # with more zeros in the outer loop
         if a.count(0) < b.count(0):
             a, b = b, a
-        prod = [0] * (2 * self.m - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduce(prod)
-
-    def _sum_products(self, pairs: Sequence[tuple]) -> CyclotomicElement:
-        # sum of a * b over pairs of nonzero elements, on numerators: each
-        # product convolves, scaled to the lcm of the a.den b.den, into one
-        # buffer, which reduces once and ends in one gcd
-        dens = [a.den * b.den for a, b in pairs]
-        den = math.lcm(*dens)
-        buf = [0] * (2 * self.m - 1)
-        for (a, b), t in zip(pairs, dens):
-            s, a, b = den // t, a.nums, b.nums
-            if a.count(0) < b.count(0):
-                a, b = b, a
-            for i, x in enumerate(a):
-                if x:
-                    x *= s
-                    for j, y in enumerate(b):
-                        buf[i + j] += x * y
-        return CyclotomicElement._canonical(self, den, self._reduce(buf))
+                    buf[i + j] += x * y
 
     def _move(self, nums: Sequence[int], u: int, s: int = 0) -> tuple[int, ...]:
         # The numerator of zeta^e moves to zeta^(u e + s), for u prime to
@@ -761,37 +767,16 @@ class KummerTower(Tower):
         den = math.lcm(*(c.den for c in coords))
         return den, tuple(x * (den // c.den) for c in coords for x in c.nums)
 
-    def _mul_nums(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        # q a b for numerator rows a, b, where radicand = p / q: one 2-D
-        # convolution into rows of 2 phi(n) - 1 that skips zero numerators,
-        # then the reduction
+    def _convolve(self, buf: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+        # adds the 2-D convolution of numerator rows a, b into buf, rows of
+        # 2 phi(n) - 1, skipping zero numerators
         offsets = self._offsets
-        buf = [0] * self._buffer_size
         terms = [(offsets[k], y) for k, y in enumerate(b) if y]
         for k, x in enumerate(a):
             if x:
                 at = offsets[k]
                 for off, y in terms:
                     buf[at + off] += x * y
-        return self._reduce(buf)
-
-    def _sum_products(self, pairs: Sequence[tuple]) -> FieldElement:
-        # sum of a * b over pairs of nonzero elements, on numerators: each
-        # 2-D convolution, scaled to the lcm of the a.den b.den, lands in one
-        # buffer, which reduces once; with q the den gains, one gcd ends it
-        offsets = self._offsets
-        dens = [a.den * b.den for a, b in pairs]
-        den = math.lcm(*dens)
-        buf = [0] * self._buffer_size
-        for (a, b), t in zip(pairs, dens):
-            s = den // t
-            terms = [(offsets[k], y) for k, y in enumerate(b.nums) if y]
-            for k, x in enumerate(a.nums):
-                if x:
-                    at, x = offsets[k], s * x
-                    for off, y in terms:
-                        buf[at + off] += x * y
-        return FieldElement._canonical(self, den * self._q, self._reduce(buf))
 
     def _reduce(self, buf: list[int]) -> tuple[int, ...]:
         # numerators of q times the convolution buffer, reduced in place:

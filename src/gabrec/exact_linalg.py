@@ -22,15 +22,16 @@ rows of tokens, which the command line's ``approx`` reads as decimal or
 complex numbers.
 
 ``_dot`` is the package's one sum of products: the decoder's
-B = E_bottom S, S v and E_top (S v), ``encode``, the syndrome, the back
-substitution above and ``SkewPoly.evaluate`` all call it.  It drops the
-pairs with a zero factor.  Two products or more go to the handle's
-``_sum_products``, which works on numerators: every convolution lands in
-one buffer over the lcm of the products' denominators, which reduces once
-and ends in one gcd; over QQ it is a plain ``Fraction`` sum.  The sum is canonical, so it equals the
-term-by-term sum bit for bit.  Its products never pass through the
-elements' ``__mul__``.  ``_dot`` stays out of ``__all__``, whose functions
-the benchmark's tracer wraps.
+B = E_bottom S, S v and E_top (S v), ``encode``, the syndrome, the forward
+elimination and back substitution of ``first_kernel_vector``,
+``SkewPoly.evaluate`` and each coefficient of ``SkewPoly.__mul__`` all call
+it.  It drops the pairs with a zero factor.  Two products or more go to the
+handle's ``_sum_products``, which works on numerators: every convolution
+lands in one buffer over the lcm of the products' denominators, which
+reduces once and ends in one gcd; over QQ it is a plain ``Fraction`` sum.
+The sum is canonical, so it equals the term-by-term sum bit for bit.  Its
+products never pass through the elements' ``__mul__``.  ``_dot`` stays out
+of ``__all__``, whose functions the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def first_kernel_vector(matrix: Matrix) -> tuple | None:
     Forward elimination without division, then one inverse per pivot.  The
     pivot row is chosen as ``rref`` chooses it, and each lower row becomes
     p * row - a * pivot_row, with p the pivot and a the row's entry in the
-    pivot column.  Elimination stops at the first column f without a pivot.
+    pivot column; each new entry is one two-term ``_dot``, a negated once per row.
+    Elimination stops at the first column f without a pivot.
     Back substitution sets v_f = ``field.one`` (that object) and, for
     i = f-1 down to 0, v_i = -(R_if + sum_(i<c<f) R_ic v_c) / R_ii.
 
@@ -198,7 +200,10 @@ def first_kernel_vector(matrix: Matrix) -> tuple | None:
         for row in rows[f + 1 :]:
             a = row[f]
             if a:  # entries left of f + 1 are never read again
-                row[f + 1 :] = [p * x - a * y for x, y in zip(row[f + 1 :], pivot[f + 1 :])]
+                a = -a
+                row[f + 1 :] = [
+                    _dot(field, ((p, x), (a, y))) for x, y in zip(row[f + 1 :], pivot[f + 1 :])
+                ]
     else:
         return None
     v = [field.zero] * matrix.cols

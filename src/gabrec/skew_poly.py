@@ -81,17 +81,14 @@ class SkewPoly:
                 return NotImplemented
             return self * constant
         other = self._match(other)
-        if self.is_zero() or other.is_zero():
-            return SkewPoly(self.tower)
-        out = [self.tower.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b.theta(i)
-        return SkewPoly(self.tower, out)
+        # coefficient s is the sum of a_i theta^i(b_(s-i)) over the nonzero pairs
+        a, b, tower = self.coeffs, other.coeffs, self.tower
+        out = []
+        for s in range(len(a) + len(b) - 1):
+            lo, hi = max(0, s - len(b) + 1), min(s, len(a) - 1)
+            pairs = ((a[i], b[s - i].theta(i)) for i in range(lo, hi + 1) if a[i] and b[s - i])
+            out.append(_dot(tower, pairs))
+        return SkewPoly(tower, out)
 
     def __rmul__(self, other):
         # scalar on the left: a * f has coefficients a * f_i

@@ -1,7 +1,7 @@
 """Shared fixtures, matrix helpers, the references the library is checked
 against (full product, linear solve, full-kernel and key-system decoders,
-Newton interpolation, per-factor msp), and height-bounded random generators
-for the test suite.
+Newton interpolation, term-by-term skew product, per-factor msp), and
+height-bounded random generators for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
 arithmetic never fails, but coefficient growth makes large inputs slow.
@@ -138,6 +138,21 @@ def reference_interpolate(code, values):
         basis = msp(tower, points[:i])
         poly = poly + ((v - poly.evaluate(g)) / basis.evaluate(g)) * basis
     return poly
+
+
+def reference_skew_mul(f, g):
+    """Product f * g term by term: each a_i theta^i(b_j) added into coefficient i + j.
+
+    The library sums each coefficient's products in one ``_dot``.
+    """
+    tower = f.tower
+    if f.is_zero() or g.is_zero():
+        return SkewPoly(tower)
+    out = [tower.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b.theta(i)
+    return SkewPoly(tower, out)
 
 
 def reference_msp(tower, elements):

@@ -31,10 +31,10 @@ multiple of the least one and divides to the same quotient, with a
 remainder that is zero exactly when the least one's is: the decoded error
 and the failure exit stay the same.
 
-The mutants of the operand swap in the Q(zeta_n) convolutions, which put
+The mutants of the operand swap in the Q(zeta_n) convolution, which puts
 the factor with more zero numerators in the outer loop, are equivalent and
 left out: dropping the swap or reversing its test changes only which
-operand the loops skip zeros of.  A product commutes, so only the speed
+operand the loop skips zeros of.  A product commutes, so only the speed
 moves.
 
 One mutant of the inverse is equivalent and left out: dropping the
@@ -80,13 +80,19 @@ MUTANTS = (
     Mutant("kernel: skip the row swap", "exact_linalg.py",
            "rows[f], rows[pivot_row] = rows[pivot_row], rows[f]", "pass", LINALG),
     Mutant("kernel: drop the pivot factor in the update", "exact_linalg.py",
-           "[p * x - a * y for x, y in", "[x - a * y for x, y in", LINALG),
+           "_dot(field, ((p, x), (a, y)))", "_dot(field, ((field.one, x), (a, y)))", LINALG),
+    Mutant("kernel: add the pivot row's multiple, not subtract it", "exact_linalg.py",
+           "                a = -a\n", "", LINALG),
     Mutant("kernel: skip the pivot inverse", "exact_linalg.py",
            "v[i] = -(total * _invert(row[i]))", "v[i] = -total", LINALG),
     Mutant("kernel: drop the back-substitution terms", "exact_linalg.py",
            "for c in range(i + 1, f + 1)", "for c in range(f, f + 1)", LINALG),
     Mutant("kernel: eliminate only the next row", "exact_linalg.py",
            "for row in rows[f + 1 :]:", "for row in rows[f + 1 : f + 2]:", LINALG),
+    Mutant("SkewPoly product: twist one iterate too far", "skew_poly.py",
+           "b[s - i].theta(i)", "b[s - i].theta(i + 1)", SKEW),
+    Mutant("SkewPoly product: leave the last pair of each coefficient out", "skew_poly.py",
+           "range(lo, hi + 1)", "range(lo, hi)", SKEW),
     Mutant("left_divide: never invert the lead", "skew_poly.py",
            "lead_inv = None if lead is tower.one else lead.inverse()", "lead_inv = None", SKEW),
     Mutant("left_divide: skip the remainder update", "skew_poly.py",
@@ -181,19 +187,20 @@ MUTANTS = (
     Mutant("recover: let a non-rational entry raise TypeError", "lrmr.py",
            "    except TypeError as exc:\n", "    except ZeroDivisionError as exc:\n", RECORD),
     Mutant("rational text: drop the exponent bound", "exact_algebra.py",
-           "if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):",
+           "if marker and digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):",
            "if False:",
+           ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
+    Mutant("rational text: test the exponent with isdigit", "exact_algebra.py",
+           "digits.isdecimal()", "digits.isdigit()",
            ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
     Mutant("rational text: let digit separators past the exponent bound", "exact_algebra.py",
            'exponent.replace("_", "").lstrip("+-")', 'exponent.lstrip("+-")',
            ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
-    Mutant("sum of products: drop the lcm rescale of a Q(zeta_n) term", "exact_algebra.py",
-           "s, a, b = den // t, a.nums, b.nums", "s, a, b = 1, a.nums, b.nums", SUM),
-    Mutant("sum of products: drop the lcm rescale of a Kummer term", "exact_algebra.py",
-           "at, x = offsets[k], s * x", "at, x = offsets[k], x", SUM),
-    Mutant("sum of products: drop q from the Kummer sum's denominator", "exact_algebra.py",
-           "FieldElement._canonical(self, den * self._q, self._reduce(buf))",
-           "FieldElement._canonical(self, den, self._reduce(buf))", SUM),
+    Mutant("sum of products: drop the lcm rescale", "exact_algebra.py",
+           "a.nums if t == den else [den // t * x for x in a.nums]", "a.nums", SUM),
+    Mutant("sum of products: drop q from the denominator", "exact_algebra.py",
+           "_canonical(self, den * self._q, self._reduce(buf))",
+           "_canonical(self, den, self._reduce(buf))", SUM),
     Mutant("sum of products: return a one-product sum's first factor unmultiplied",
            "exact_linalg.py", "return b if a is field.one else a * b",
            "return b if a is field.one else a", SUM),

@@ -310,6 +310,13 @@ def test_rational_text_bounds_the_exponent(kummer4):
     # Fraction would expand 10**10000000 in full; the reader refuses first
     for text in ("1e300", "2e-3", "3/2", "1e4300", "-1E-4300", "1e+04300"):
         assert QQ.from_text(text) == Fraction(text)
+    # the bound reads the decimal digits that Fraction reads, in any script
+    assert QQ.from_text("1e\u0661") == 10
+    with pytest.raises(ValueError, match="exponent"):
+        QQ.from_text("1e\u0664\u0663\u0660\u0661")
+    # a superscript is a digit to str.isdigit, not to Fraction or int
+    with pytest.raises(ValueError, match="'1e\u00b2'"):
+        QQ.from_text("1e\u00b2")
     # the last two carry digit separators, which Fraction reads in an
     # exponent from Python 3.11 on
     for text in ("1e5000", "1E-4301", "1e+004301", "1e10000000", "1e" + "9" * 5000,

@@ -79,7 +79,9 @@ def test_right_kernel_annihilates(zeta5, kummer4):
     check(Matrix(zeta5, [[rand_element(zeta5, rng, 3) for _ in range(4)] for _ in range(2)]))
     # tall entries, half of them zero: all-zero matrices, zero leading entries
     # that need a row swap, rank-deficient and square full-rank cases
-    for tower in (zeta5, kummer4, make_tower("cyclotomic", 7)):
+    # kummer:4 over 3/2 leaves q = 2 in every product's denominator
+    towers = (zeta5, kummer4, make_tower("cyclotomic", 7), make_tower("kummer", 4, Fraction(3, 2)))
+    for tower in towers:
         for _ in range(12):
             rows = rng.randint(1, 4)
             cols = max(1, rows + rng.randint(-1, 1))

@@ -1,6 +1,7 @@
 """Twisted polynomial ring: arithmetic, evaluation, division, annihilators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (
     rand_scalar,
     rand_vector,
     reference_msp,
+    reference_skew_mul,
 )
 from gabrec import SkewPoly, ext, left_divide, make_tower, msp, rank
 
@@ -51,6 +53,35 @@ def test_mul_expansion_frozen(kummer4):
         ],
     )
     assert product == expected
+
+
+@pytest.mark.parametrize(
+    "kind, param, radicand",
+    [("cyclotomic", 5, 2), ("cyclotomic", 7, 2), ("kummer", 4, 2), ("kummer", 4, Fraction(3, 2))],
+)
+def test_mul_matches_term_by_term_product(kind, param, radicand):
+    # each coefficient is one sum of products; it must equal the products
+    # a_i theta^i(b_j) added one by one
+    tower = make_tower(kind, param, radicand)
+    rng = random.Random(param)
+
+    def poly(degree, zeros):
+        # random coefficients, with zeros in between at the given share
+        coeffs = [tower.zero if rng.random() < zeros else rand_element(tower, rng, 3)
+                  for _ in range(degree)]
+        return SkewPoly(tower, coeffs + [rand_nonzero_element(tower, rng, 3)])
+
+    zero = SkewPoly(tower)
+    constants = [SkewPoly.constant(tower, c) for c in
+                 (tower.one, -tower.one, rand_nonzero_element(tower, rng, 3) / 7)]
+    polys = [poly(rng.randint(0, 4), rng.choice([0, 0.3, 0.7])) for _ in range(12)]
+    cases = [(zero, zero), (zero, polys[0]), (polys[0], zero)]
+    cases += [(c, f) for c in constants for f in polys[:3]]
+    cases += [(f, c) for c in constants for f in polys[:3]]
+    cases += [(f, g) for f in polys for g in polys[:4]]
+    assert any(f.degree != g.degree for f, g in cases)
+    for f, g in cases:
+        assert f * g == reference_skew_mul(f, g)
 
 
 def test_mul_identity_and_degree(zeta5):
