@@ -50,9 +50,15 @@ free columns are those of B and the V part of each kernel vector is built
 from rref(B) alone.  The q of a given v is unique, as A has full column
 rank.  The first free column also gives the V of least degree; within the
 radius that is the monic annihilator of the error's entries.  The decoder
-computes that vector with ``first_kernel_vector``, which eliminates B
-without division and inverts each pivot once; it is the vector rref(B)
-gives, bit for bit, with V monic and its lead the field's one itself.
+computes that vector with ``first_kernel_vector``, which eliminates B by
+Bareiss and returns c v, where v is the vector rref(B) gives and c, the
+lead of c V, is a minor of B.  It decodes with c V as it comes.  The
+solutions (V, Q) form a left module over L: q = E_top S v gives
+E_top S (c v) = c q, so the numerator is c N, and N = V * f + R gives
+c N = (c V) * f + c R.  The quotient is the same, bit for bit, and the
+remainder is zero exactly when R is.  ``left_divide`` inverts c once; the
+kernel never inverts its last pivot, so the count of inverses is that of
+a monic V.
 
 The exact division certifies the answer, so the decoder does not re-check
 the error's rank.  It accepts only when N = V * f with V != 0, deg V <= t

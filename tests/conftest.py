@@ -1,7 +1,7 @@
 """Shared fixtures, matrix helpers, the references the library is checked
-against (full product, linear solve, full-kernel and key-system decoders,
-Newton interpolation, term-by-term skew product, per-factor msp), and
-height-bounded random generators for the test suite.
+against (full product, linear solve, determinant, full-kernel and
+key-system decoders, Newton interpolation, term-by-term skew product,
+per-factor msp), and height-bounded random generators for the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
 arithmetic never fails, but coefficient growth makes large inputs slow.
@@ -56,6 +56,30 @@ def solve(matrix, rhs):
     for i, p in enumerate(pivots):
         x[p] = reduced.entries[i][matrix.cols]
     return x
+
+
+def reference_det(field, rows):
+    """Determinant of a square matrix by elimination with division.
+
+    Each pivot row is the first with a nonzero entry in its column; a swap
+    flips the sign.  The library's kernel eliminates by Bareiss, without
+    this division, and its vector's entries are these determinants.
+    """
+    rows = [[field.coerce(x) for x in row] for row in rows]
+    det = field.one
+    for col in range(len(rows)):
+        pivot_row = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            return field.zero
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        pivot = rows[col]
+        det = det * pivot[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / pivot[col]
+            row[col:] = [x - factor * y for x, y in zip(row[col:], pivot[col:])]
+    return det
 
 
 def reference_wb_decode(code, received):

@@ -82,9 +82,23 @@ MUTANTS = (
     Mutant("kernel: drop the pivot factor in the update", "exact_linalg.py",
            "_dot(field, ((p, x), (a, y)))", "_dot(field, ((field.one, x), (a, y)))", LINALG),
     Mutant("kernel: add the pivot row's multiple, not subtract it", "exact_linalg.py",
-           "                a = -a\n", "", LINALG),
+           "            a = -row[f]\n", "            a = row[f]\n", LINALG),
     Mutant("kernel: skip the pivot inverse", "exact_linalg.py",
-           "v[i] = -(total * _invert(row[i]))", "v[i] = -total", LINALG),
+           "v[i] = -(total * inverses[i])", "v[i] = -total", LINALG),
+    Mutant("kernel: set v_f to one, not to the last pivot", "exact_linalg.py",
+           "v[f], v[f - 1] = rows[f - 1][f - 1], -rows[f - 1][f]",
+           "v[f], v[f - 1] = field.one, -rows[f - 1][f]", LINALG),
+    Mutant("kernel: v_(f-1) = R_(f-1,f), not its negative", "exact_linalg.py",
+           "v[f], v[f - 1] = rows[f - 1][f - 1], -rows[f - 1][f]",
+           "v[f], v[f - 1] = rows[f - 1][f - 1], rows[f - 1][f]", LINALG),
+    Mutant("Bareiss: drop the division by the previous pivot", "exact_linalg.py",
+           "row[f + 1 :] = [x * inverses[f - 1] for x in new] if f else new",
+           "row[f + 1 :] = new", LINALG),
+    Mutant("Bareiss: divide by the current pivot, not the previous", "exact_linalg.py",
+           "[x * inverses[f - 1] for x in new]", "[x * _invert(p) for x in new]", LINALG),
+    Mutant("Bareiss: leave a row whose pivot-column entry is zero unscaled", "exact_linalg.py",
+           "for row in rows[f + 1 :]:", "for row in (r for r in rows[f + 1 :] if r[f]):",
+           LINALG),
     Mutant("kernel: drop the back-substitution terms", "exact_linalg.py",
            "for c in range(i + 1, f + 1)", "for c in range(f, f + 1)", LINALG),
     Mutant("kernel: eliminate only the next row", "exact_linalg.py",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mul_vec, rand_element, solve, zero_matrix
+from conftest import mul_vec, rand_element, reference_det, solve, zero_matrix
 from gabrec import Matrix, QQ, format_matrix, make_tower, rank, right_kernel, rref
 from gabrec.exact_linalg import _read_matrix_text, first_kernel_vector
 
@@ -71,7 +71,13 @@ def test_right_kernel_annihilates(zeta5, kummer4):
         assert kernel.rows + rank(m) == m.cols
         for row in kernel.entries:
             assert all(not v for v in mul_vec(m, row))
-        assert first_kernel_vector(m) == (kernel.entries[0] if kernel.rows else None)
+        v = first_kernel_vector(m)
+        if not kernel.rows:
+            assert v is None
+            return
+        # v is at Cramer scale; over its last nonzero entry it is rref's vector
+        inverse = m.field.one / next(x for x in reversed(v) if x)
+        assert tuple(x * inverse for x in v) == kernel.entries[0]
 
     for _ in range(15):
         check(rand_qq_matrix(rng, rng.randint(1, 5), rng.randint(1, 6)))
@@ -91,6 +97,60 @@ def test_right_kernel_annihilates(zeta5, kummer4):
                 for _ in range(rows)
             ]
             check(Matrix(tower, entries, cols=cols))
+    # eight Bareiss steps, six of them divided by the previous pivot
+    for tower in (QQ, zeta5, kummer4, towers[-1]):
+        for _ in range(2):
+            check(Matrix(tower, [[rand_entry(tower, rng) for _ in range(9)] for _ in range(8)]))
+
+
+def rand_entry(field, rng, height=3, zeros=0.3):
+    """A random entry of height at most ``height``, zero with probability ``zeros``."""
+    if rng.random() < zeros:
+        return field.zero
+    if field is QQ:
+        return Fraction(rng.randint(-height, height))
+    return rand_element(field, rng, height)
+
+
+def test_first_kernel_vector_is_at_cramer_scale(zeta5, kummer4):
+    # Bareiss keeps every entry of the vector an f-by-f minor of an f-by-(f+1)
+    # matrix whose first f columns are independent, so that column f is the
+    # first free one: v_i = (-1)^(f-i) det(M without column i), with one sign
+    # for all entries when rows were swapped.  Dividing by a wrong pivot, or
+    # leaving a row with a zero below the pivot unscaled, still gives a
+    # kernel vector, at another scale.
+    def check(m):
+        f = m.rows
+        minors = [reference_det(m.field, [row[:i] + row[i + 1 :] for row in m.entries])
+                  for i in range(f + 1)]
+        assert minors[f]
+        cramer = tuple(d if (f - i) % 2 == 0 else -d for i, d in enumerate(minors))
+        v = first_kernel_vector(m)
+        # no row is swapped while every leading minor is nonzero
+        leading = [reference_det(m.field, [row[:j] for row in m.entries[:j]])
+                   for j in range(1, f + 1)]
+        if all(leading):
+            assert v == cramer
+        else:
+            assert v in (cramer, tuple(-x for x in cramer))
+        return all(leading)
+
+    # a zero below each pivot, and a zero leading entry that forces a swap
+    check(qq_matrix([[2, 1, 3, 1], [0, 3, 1, 2], [0, 0, 5, 1]]))
+    assert not check(qq_matrix([[0, 1, 2], [3, 1, 1]]))
+    assert not check(qq_matrix([[1, 2, 0, 1], [2, 4, 1, 0], [1, 0, 3, 3]]))
+    rng = random.Random(5)
+    swaps = 0
+    for tower in (QQ, zeta5, kummer4, make_tower("kummer", 4, Fraction(3, 2))):
+        for f in range(1, 9):
+            for _ in range(2):
+                while True:
+                    m = Matrix(tower, [[rand_entry(tower, rng) for _ in range(f + 1)]
+                                       for _ in range(f)])
+                    if reference_det(tower, [row[:f] for row in m.entries]):
+                        break
+                swaps += not check(m)
+    assert swaps
 
 
 def test_rank_transpose_invariant():

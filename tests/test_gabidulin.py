@@ -420,9 +420,10 @@ def test_decode_matches_key_system_reference(spec):
 
 def test_locator_is_the_error_span_annihilator(monkeypatch):
     # Within the radius the first free column gives the kernel vector whose
-    # V has the least degree: monic of degree rank(e) and zero on every
-    # entry of e, so V = msp(e).  Any other kernel vector decodes the same
-    # word to the same result, so only the locator tells them apart.
+    # V has the least degree: degree rank(e) and zero on every entry of e, so
+    # V is msp(e) times its lead, a minor of B (Cramer scale).  Any other
+    # kernel vector decodes the same word to the same result, so only the
+    # locator tells them apart.
     locators = []
     left_divide = gabidulin.left_divide
 
@@ -440,7 +441,10 @@ def test_locator_is_the_error_span_annihilator(monkeypatch):
                 c = encode(code, rand_message(code, rng, height=2))
                 e = rand_error(tower, rng, n, weight, height=2)
                 assert wb_decode(code, [ci + ei for ci, ei in zip(c, e)]).success
-                assert locators[-1] == msp(tower, e)
+                locator = locators[-1]
+                assert locator.degree == weight
+                assert not any(locator.evaluate(x) for x in e)
+                assert locator == locator.coeffs[-1] * msp(tower, e)
 
 
 def test_key_reduction_rejects_a_rank_deficient_h_block(code5, monkeypatch):

@@ -132,6 +132,15 @@ def test_recover_kummer12_full_size():
     assert recover(code, measure(code, matrix)) == matrix
 
 
+def test_recover_cyclotomic23_at_radius_eight():
+    # n = m = 22, k = 6, so t = 8: the kernel takes eight Bareiss steps,
+    # where pivots of doubling height made one recovery take seconds
+    tower = make_tower("cyclotomic", 23)
+    code = build_code(tower, 22, 6)
+    matrix = random_low_rank(22, 22, 8, 10, rng=random.Random(0))
+    assert recover(code, measure(code, matrix)) == matrix
+
+
 def test_recover_kummer8_radicand3():
     # radicand 3 is no square in Q(zeta_8), so x^8 - 3 is irreducible over it;
     # n = m = 8, k = 4, so t = 2
