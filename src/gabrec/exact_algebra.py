@@ -54,11 +54,17 @@ Z[zeta], whose Z-basis is the power basis, onto itself.
 
 The inverse comes from the norm: x^-1 is the product P of the other Galois
 conjugates of x divided by N(x), the product of all of them, taken on the
-numerators of den x.  In a tower, theta generates the Galois group, so P is
-built by doubling in O(log m) products; in a plain Q(zeta_n) it is the
-product of sigma_u(x) for the units u != 1 modulo n.  In Q(zeta_n), N is a
-positive integer; in the Kummer L it lies in K, is inverted there once and
-scales P as an embedded element, by one product.
+numerators of den x.  In a tower, theta generates the Galois group, so P
+and N are taken together along the subfield chain: for each prime l of m,
+largest first, the element is multiplied by its other l - 1 conjugates
+under a power of theta, by doubling, which leaves the norm to the next
+subfield; N is the last of these and P the product of the factors.  In the
+Kummer L an element of a subfield of index d is nonzero only on the rows of
+alpha^i with d | i, so the later products skip most numerators.  In a plain
+Q(zeta_n), P is the product of sigma_u(x) for the units u != 1 modulo n,
+and N = x P.  In Q(zeta_n), N is a positive integer; in the Kummer L it
+lies in K, is inverted there once and scales P as an embedded element, by
+one product.
 
 The two element classes are names only, kept for the benchmark's tracer,
 which counts K- and L-operators by patching each class's own product,
@@ -377,15 +383,16 @@ class _Element:
 
         With a = den x, P is the product of the conjugates of a other than
         a under the Galois group over the scalar field, and N = a P = N(a)
-        is fixed by that group, so it lies in the scalar field; the handle
-        checks that and divides P by N.  Its product of numerators carries
-        the factor q = ``_q``, so it yields q N, and den q P / (q N) = x^-1.
+        is fixed by that group, so it lies in the scalar field.  The handle
+        takes both in one hook, ``_product_and_norm``, checks that N lies
+        in the scalar field and divides P by N.  N carries one factor
+        q = ``_q`` more than P, so the quotient is P / (q N), and
+        den q P / (q N) = x^-1.
         """
         if not any(self.nums):
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        product = field._conjugate_product(self.nums)
-        den, nums = field._divide_by_norm(product, field._mul_nums(self.nums, product))
+        den, nums = field._divide_by_norm(*field._product_and_norm(self.nums))
         scale = self.den * field._q
         return self._canonical(field, den, [scale * x for x in nums])
 
@@ -452,8 +459,8 @@ class _CoordinateField:
     one call per vector; ``_convolve`` (adds the product of two numerator
     vectors into a buffer of ``_buffer_size`` integers), ``_reduce`` (the
     buffer as numerators) and ``_q`` (the denominator a product leaves);
-    ``_conjugate_product`` and ``_divide_by_norm`` for the inverse; and
-    ``_theta_nums`` on a tower.  Over ``_convolve``, ``_reduce`` and ``_q``
+    ``_product_and_norm`` (P and N together) and ``_divide_by_norm`` for
+    the inverse; and ``_theta_nums`` on a tower.  Over ``_convolve``, ``_reduce`` and ``_q``
     the handle implements, once for every field, ``_mul_nums`` (a product
     of numerators) and ``_sum_products`` (a sum of products reduced once,
     for ``exact_linalg._dot``).
@@ -618,8 +625,10 @@ class CyclotomicField(_CoordinateField):
             a, b = b, a
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    buf[i + j] += x * y
+                # i steps with b's index: cheaper than enumerate and buf[i + j]
+                for y in b:
+                    buf[i] += x * y
+                    i += 1
 
     def _move(self, nums: Sequence[int], u: int, s: int = 0) -> tuple[int, ...]:
         # The numerator of zeta^e moves to zeta^(u e + s), for u prime to
@@ -635,9 +644,10 @@ class CyclotomicField(_CoordinateField):
                     out[t] += c * v
         return tuple(out)
 
-    def _conjugate_product(self, nums: Sequence[int]) -> tuple[int, ...]:
-        # product of sigma_u(a), u != 1, for numerators a
-        return functools.reduce(self._mul_nums, (self._move(nums, u) for u in self._other_units))
+    def _product_and_norm(self, nums: Sequence[int]) -> tuple:
+        # (P, N) for numerators a: P the product of sigma_u(a), u != 1, and N = a P
+        product = functools.reduce(self._mul_nums, (self._move(nums, u) for u in self._other_units))
+        return product, self._mul_nums(nums, product)
 
     @staticmethod
     def _divide_by_norm(product: Sequence[int], norm: Sequence[int]) -> tuple:
@@ -664,19 +674,31 @@ class Tower(_CoordinateField):
         # zeta or alpha, the second power-basis vector
         return self._basis_vector(1)
 
-    def _conjugate_product(self, nums: Sequence[int]) -> tuple[int, ...]:
-        # Numerators of theta(a) ... theta^(m-1)(a), up to the positive
-        # factor that the handle's ``_mul_nums`` leaves, for numerators a.
-        # theta generates the Galois group, so with y_k = a theta(a) ...
-        # theta^(k-1)(a), y_2k = y_k theta^k(y_k) and y_(k+1) = y_k theta^k(a)
-        # reach y_(m-1) in O(log m) products, and the product is theta(y_(m-1)).
+    def _product_and_norm(self, nums: Sequence[int]) -> tuple:
+        # (P, N) for numerators a: P = theta(a) ... theta^(m-1)(a) and N = a P,
+        # up to the positive factor that ``_mul_nums`` leaves, N with one q
+        # more than P.  z lies in the fixed field F of theta^size, cyclic of
+        # degree size over K (at first z = a and size = m).  Per prime l of
+        # m, largest first, size becomes size / l, and z times its other
+        # conjugates f under sigma = theta^size is the norm from F to its
+        # subfield of index l.  By transitivity the last z is N, and P is the
+        # product of the f.  Each f = sigma(y_(l-1)) is taken by doubling on
+        # y_k = z sigma(z) ... sigma^(k-1)(z): y_2k = y_k sigma^k(y_k) and
+        # y_(k+1) = y_k sigma^k(z).
         mul, theta = self._mul_nums, self._theta_nums
-        y, k = nums, 1
-        for bit in bin(self.m - 1)[3:]:
-            y, k = mul(y, theta(y, k)), 2 * k
-            if bit == "1":
-                y, k = mul(y, theta(nums, k)), k + 1
-        return theta(y, 1)
+        z, product, size = nums, None, self.m
+        for ell in reversed(prime_factors(self.m)):
+            while size % ell == 0:
+                size //= ell
+                y, k = z, 1
+                for bit in bin(ell - 1)[3:]:
+                    y, k = mul(y, theta(y, k * size)), 2 * k
+                    if bit == "1":
+                        y, k = mul(y, theta(z, k * size)), k + 1
+                factor = theta(y, size)
+                product = factor if product is None else mul(product, factor)
+                z = mul(z, factor)
+        return product, z
 
     def _check_theta_order(self) -> None:
         # theta must have exact multiplicative order m, witnessed on a generator

@@ -161,14 +161,15 @@ def msp(tower: Tower, elements: Sequence) -> SkewPoly:
     """Monic annihilator of least degree of the K-span of the given elements.
 
     Built iteratively: each element not already annihilated contributes the
-    left factor (w x - theta(w)) with w the current evaluation, so the final
-    degree equals the K-dimension of the span.  The factors are not monic;
-    the monic annihilator is unique, so one normalisation at the end gives
-    it with a single inversion.
+    monic left factor (x - theta(w) w^-1) with w the current evaluation, so
+    the final degree equals the K-dimension of the span.  Each factor costs
+    one inverse and keeps the product monic, with numerators as small as
+    the annihilator's; the factor w x - theta(w) would carry the height of
+    the product so far in w and double it at every element.
     """
     poly = SkewPoly.constant(tower, tower.one)
     for v in elements:
         w = poly.evaluate(v)
         if w:
-            poly = SkewPoly(tower, [-w.theta(), w]) * poly
-    return poly.monic()
+            poly = SkewPoly(tower, [-w.theta() * w.inverse(), tower.one]) * poly
+    return poly

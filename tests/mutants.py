@@ -35,7 +35,10 @@ The mutants of the operand swap in the Q(zeta_n) convolution, which puts
 the factor with more zero numerators in the outer loop, are equivalent and
 left out: dropping the swap or reversing its test changes only which
 operand the loop skips zeros of.  A product commutes, so only the speed
-moves.
+moves.  So does the order of the primes along the subfield chain of the
+tower inverse: smallest first in place of largest first multiplies the
+same m conjugates, with one factor q per product, so P and N come out the
+same, bit for bit.
 
 One mutant of the inverse is equivalent and left out: dropping the
 positive-norm check of ``CyclotomicField._divide_by_norm``.  The norm of
@@ -233,6 +236,19 @@ MUTANTS = (
     Mutant("Matrix: accept a negative column count", "exact_linalg.py",
            "elif cols is None or cols < 0:", "elif cols is None:",
            ("tests/test_exact_linalg.py::test_matrix_shape_checks",)),
+    Mutant("convolution: advance the output index twice", "exact_algebra.py",
+           "                    i += 1\n", "                    i += 2\n", ALGEBRA),
+    Mutant("norm chain: twist a conjugate by theta^k, not by sigma^k", "exact_algebra.py",
+           "theta(y, k * size)", "theta(y, k)", ALGEBRA),
+    Mutant("norm chain: leave a step's factor out of P", "exact_algebra.py",
+           "product = factor if product is None else mul(product, factor)",
+           "product = factor", ALGEBRA),
+    Mutant("norm chain: take each prime of m once", "exact_algebra.py",
+           "while size % ell == 0:", "if size % ell == 0:", ALGEBRA),
+    Mutant("msp: normalize only at the end", "skew_poly.py",
+           "[-w.theta() * w.inverse(), tower.one]) * poly\n    return poly\n",
+           "[-w.theta(), w]) * poly\n    return poly.monic()\n",
+           ("tests/test_skew_poly.py::test_msp_of_sixteen_kummer20_points",)),
 )
 
 

@@ -784,34 +784,72 @@ def test_kummer_elements_are_flat_and_canonical(n, radicand):
                 assert same == a and hash(same) == hash(a)
 
 
-INVERSE_TOWERS = [
-    *(("cyclotomic", p) for p in (5, 7, 11, 13, 17)),
-    ("kummer", 4, 2),
-    ("kummer", 8, 3),
-    ("kummer", 12, 2),
-]
+INVERSE_TOWERS = {
+    # m = 4, 6, 10, 12, 16, 22 = 2 * 11 and 28 = 2 * 2 * 7: the chain's
+    # prime patterns, each step by doubling over l - 1 = 1, 2, 4, 6 and 10
+    **{f"cyc{p}": ("cyclotomic", p) for p in (5, 7, 11, 13, 17, 23, 29)},
+    "k4": ("kummer", 4, 2),
+    # q = 2: N must carry exactly one factor q more than P
+    "k4-3/2": ("kummer", 4, Fraction(3, 2)),
+    "k8-3": ("kummer", 8, 3),
+    "k12": ("kummer", 12, 2),
+    "k16-3": ("kummer", 16, 3),
+    "k20": ("kummer", 20, 2),
+}
 
 
-@pytest.mark.parametrize(
-    "spec", INVERSE_TOWERS, ids=["cyc5", "cyc7", "cyc11", "cyc13", "cyc17", "k4", "k8-3", "k12"]
-)
+@pytest.mark.parametrize("spec", INVERSE_TOWERS.values(), ids=INVERSE_TOWERS.keys())
 def test_inverse_by_doubling_matches_sequential_product(spec):
-    # m - 1 = 4, 6, 10, 12, 16, 3, 7, 11 walk different bit patterns of the
-    # doubling chain
+    # the norm along the subfield chain, each step by doubling: P must be
+    # theta(a) ... theta^(m-1)(a) up to a positive rational and N must be
+    # a P, bit for bit, q included
     tower = make_tower(*spec)
     rng = random.Random(tower.m)
     probes = [_random_element(tower, rng) for _ in range(2)] + [tower.basis[1] + tower.one]
     for a in probes:
         sequential = functools.reduce(operator.mul, (a.theta(j) for j in range(1, tower.m)))
-        doubled = type(a)._canonical(tower, 1, tower._conjugate_product(a.nums))
+        product, norm = tower._product_and_norm(a.nums)
+        assert norm == tower._mul_nums(a.nums, product)
         # the chain works on den a and may carry a positive rational factor
-        ratio = doubled / sequential
+        ratio = type(a)._canonical(tower, 1, product) / sequential
         while not isinstance(ratio, Fraction):
             assert not any(ratio.coords[1:])
             ratio = ratio.coords[0]
         assert ratio > 0
-        assert a.inverse() == sequential / (a * sequential)
-        assert a.inverse().coords == _ref_tower_inverse(tower, a)
+        inverse = a.inverse()
+        assert a * inverse == tower.one
+        assert inverse == sequential / (a * sequential)
+        if tower.m <= 16:  # the m-by-m reference solve grows fast past that
+            assert inverse.coords == _ref_tower_inverse(tower, a)
+
+
+CONVOLVE_FIELDS = {
+    "cyc7": lambda: make_tower("cyclotomic", 7),
+    "field12": lambda: CyclotomicField(12),
+    "field20": lambda: CyclotomicField(20),
+}
+
+
+@pytest.mark.parametrize("make", CONVOLVE_FIELDS.values(), ids=CONVOLVE_FIELDS.keys())
+def test_convolve_adds_into_the_buffer(make):
+    # the Q(zeta_n) convolution adds into what the buffer holds, as a plain
+    # double loop does; both last numerators are nonzero, so index 2m - 2 is
+    # written, and each order of a dense and a sparse operand takes one side
+    # of the operand swap
+    field = make()
+    m = field.m
+    rng = random.Random(m)
+    dense = tuple(rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(m))
+    sparse = (rng.randint(1, 9),) + (0,) * (m - 3) + (rng.randint(-9, 9), -7)
+    for a, b in [(dense, sparse), (sparse, dense), (dense, dense[::-1])]:
+        start = [rng.randint(-9, 9) for _ in range(2 * m - 1)]
+        expected = list(start)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        buf = list(start)
+        field._convolve(buf, a, b)
+        assert buf == expected and buf[-1] != start[-1]
 
 
 SUM_HANDLES = {

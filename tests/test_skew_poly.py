@@ -252,8 +252,8 @@ def test_msp_annihilates_span(zeta5):
 
 
 def test_msp_matches_per_factor_reference(zeta5, kummer4):
-    # msp normalises once at the end; the monic annihilator is unique, so it
-    # equals the product of monic factors, also on dependent and zero entries
+    # the monic annihilator is unique, so msp equals the product of monic
+    # factors, also on dependent and zero entries
     rng = random.Random(12)
     for tower in (zeta5, make_tower("cyclotomic", 7), kummer4):
         assert msp(tower, []) == reference_msp(tower, [])
@@ -266,6 +266,20 @@ def test_msp_matches_per_factor_reference(zeta5, kummer4):
                 vec.insert(rng.randint(0, len(vec)), combo)
             vec.insert(rng.randint(0, len(vec)), tower.zero)
             assert msp(tower, vec) == reference_msp(tower, vec)
+
+
+def test_msp_of_sixteen_kummer20_points():
+    # GabCode.annihilator of kummer:20 at k = 16.  Each factor is made monic
+    # as it comes: with the factors w x - theta(w) and one normalization at
+    # the end, the heights double at every point and this takes over a minute,
+    # while the monic result has numerators of a few bits
+    tower = make_tower("kummer", 20)
+    points = tower.basis[:16]
+    poly = msp(tower, points)
+    assert poly.is_monic() and poly.degree == 16
+    assert poly == reference_msp(tower, points)
+    assert not any(poly.evaluate(g) for g in points)
+    assert max(abs(x) for c in poly.coeffs for x in c.nums).bit_length() <= 8
 
 
 def test_ring_axioms_random(zeta5, kummer4):
