@@ -13,10 +13,11 @@ pivot, each pivot row scaled before it clears its column; ``rank``,
 ``right_kernel`` and the code construction use it.  ``first_kernel_vector``
 is Bareiss's fraction-free elimination, whose pivots are minors of the
 matrix and grow linearly in height, and returns the first kernel vector at
-Cramer scale: each entry is a minor, and the last pivot is never inverted.
-The decoder uses it for its per-record kernel, where ``rref``'s scaled
-rows make every later pivot a tall fraction.  Its vector divided by its
-last nonzero entry is the first of ``right_kernel``, bit for bit.
+Cramer scale: each entry is a minor.  It inverts only the pivots that a
+later entry is divided by, all but the last two.  The decoder uses it for
+its per-record kernel, where ``rref``'s scaled rows make every later pivot
+a tall fraction.  Its vector divided by its last nonzero entry is the
+first of ``right_kernel``, bit for bit.
 
 ``format_matrix`` writes a "rows cols" header and then the entries row by
 row, whitespace-separated.  ``_read_matrix_text`` reads that layout back as
@@ -174,13 +175,31 @@ def first_kernel_vector(matrix: Matrix) -> tuple | None:
     53, 64, 77, 88, 98, 108 and 116 bits from inputs of 45.  Cross-multiplied
     without division they doubled at each step, to 3469 bits.
 
+    The division is paid when the row is read.  Step k leaves the
+    numerators d_k * row - a * pivot_row, and step k + 1 searches them for
+    its pivot: a zero test does not depend on the scale.  Only once it
+    finds one does it invert d_(k-1) and divide the rows it reads.  So the
+    lower rows of step f - 1 are never divided by d_(f-2): column f has no
+    pivot and nothing reads them.  That happens whenever the matrix has
+    more rows than f, as the decoder's square B at odd n - k does.
+
     Back substitution keeps that scale: v_f = d_(f-1), v_(f-1) = -R_(f-1,f),
-    and v_i = -(sum_(i<c<=f) R_ic v_c) * d_i^(-1) for i = f-2 down to 0.  By
+    and v_i = -(sum_(i<c<=f) R_ic v_c) * d_i^(-1) for i = f-3 down to 0.  By
     Cramer's rule v_i is (-1)^(f-i) times the f-by-f minor of the rows
-    chosen without column i, so no entry is a fraction over a norm.  Only
-    d_0 .. d_(f-2) are inverted, each once for both passes.  The last and
-    tallest pivot never is: it is v_f itself.  At f = 0 the vector is e_0,
-    with v_0 = ``field.one``, the empty minor.
+    chosen without column i, so no entry is a fraction over a norm.  At
+    f = 0 the vector is e_0, with v_0 = ``field.one``, the empty minor.
+
+    v_(f-2) needs no d_(f-2)^(-1), by Sylvester's identity.  Let (x, y) be
+    the entries in columns f-1 and f of the row that step f-1 chooses, as
+    they were before step f-2 updated it; that row may be swapped in from
+    below, so they are kept by the row's identity.  In those columns row
+    f-1 is (d_(f-2) * (x, y) - a * (R_(f-2,f-1), R_(f-2,f))) * d_(f-3)^(-1);
+    substituted into the sum above, the terms in a cancel and d_(f-2)
+    divides out: v_(f-2) = (R_(f-2,f-1) y - R_(f-2,f) x) * d_(f-3)^(-1),
+    with no division at f = 2.  So exactly d_0 .. d_(f-3) are inverted,
+    each once for both passes, and only the pivots that some product
+    divides by.  d_(f-1) is v_f itself, and d_(f-2) is never read as a
+    divisor.  On the decoder's t-by-(t+1) B that is max(0, t - 2) inverses.
 
     Divided by v_f, the vector is the first row of ``right_kernel(matrix)``,
     bit for bit.  Column j is a pivot exactly when it is not a combination
@@ -202,21 +221,28 @@ def first_kernel_vector(matrix: Matrix) -> tuple | None:
     """
     rows = [list(row) for row in matrix.entries]
     field = matrix.field
-    inverses = []  # d_0^(-1), d_1^(-1), ...: each pivot but the last, inverted once
+    inverses = []  # d_0^(-1), d_1^(-1), ...: each pivot that a later entry is divided by
+    before = {}  # id of a lower row: its entries in columns f + 1, f + 2 before step f
     # every column before the first free one pivots, on the row of its own index
     for f in range(matrix.cols):
+        # rows[f:] still owe the division by d_(f-2); a zero test does not need it
         pivot_row = next((i for i in range(f, matrix.rows) if rows[i][f]), None)
         if pivot_row is None:
             break
         rows[f], rows[pivot_row] = rows[pivot_row], rows[f]
+        if f > 1:  # a pivot reads rows[f:], so the division is paid now
+            inverse = _invert(rows[f - 2][f - 2])
+            inverses.append(inverse)
+            for row in rows[f:]:
+                row[f:] = [x * inverse for x in row[f:]]
         pivot = rows[f]
         p = pivot[f]
-        if f and f + 1 < matrix.rows:  # lower rows are divided by d_(f-1)
-            inverses.append(_invert(rows[f - 1][f - 1]))
         for row in rows[f + 1 :]:  # entries left of f + 1 are never read again
+            before[id(row)] = row[f + 1 : f + 3]
             a = -row[f]
-            new = [_dot(field, ((p, x), (a, y))) for x, y in zip(row[f + 1 :], pivot[f + 1 :])]
-            row[f + 1 :] = [x * inverses[f - 1] for x in new] if f else new
+            row[f + 1 :] = [
+                _dot(field, ((p, x), (a, y))) for x, y in zip(row[f + 1 :], pivot[f + 1 :])
+            ]
     else:
         return None
     v = [field.zero] * matrix.cols
@@ -224,8 +250,12 @@ def first_kernel_vector(matrix: Matrix) -> tuple | None:
         v[0] = field.one
         return tuple(v)
     v[f], v[f - 1] = rows[f - 1][f - 1], -rows[f - 1][f]
-    inverses += [_invert(rows[i][i]) for i in range(len(inverses), f - 1)]
-    for i in range(f - 2, -1, -1):
+    if f > 1:  # Sylvester's identity, on the row of d_(f-1) before step f - 2
+        x, y = before[id(rows[f - 1])]
+        row = rows[f - 2]
+        minor = _dot(field, ((row[f - 1], y), (-row[f], x)))
+        v[f - 2] = minor * inverses[f - 3] if f > 2 else minor
+    for i in range(f - 3, -1, -1):
         row = rows[i]
         total = _dot(field, ((v[c], row[c]) for c in range(i + 1, f + 1)))
         v[i] = -(total * inverses[i])

@@ -57,8 +57,9 @@ solutions (V, Q) form a left module over L: q = E_top S v gives
 E_top S (c v) = c q, so the numerator is c N, and N = V * f + R gives
 c N = (c V) * f + c R.  The quotient is the same, bit for bit, and the
 remainder is zero exactly when R is.  ``left_divide`` inverts c once; the
-kernel never inverts its last pivot, so the count of inverses is that of
-a monic V.
+kernel never inverts its last two pivots, so for t >= 2 the count of
+inverses is one fewer than that of a monic V, whose kernel would invert
+every pivot.
 
 The exact division certifies the answer, so the decoder does not re-check
 the error's rank.  It accepts only when N = V * f with V != 0, deg V <= t

@@ -116,11 +116,6 @@ class SkewPoly:
             powers.append(powers[-1].theta())
         return _dot(self.tower, zip(self.coeffs, powers))
 
-    def monic(self) -> "SkewPoly":
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial has no monic normalization")
-        return self.coeffs[-1].inverse() * self
-
     def __repr__(self) -> str:
         return f"SkewPoly([{', '.join(self.tower.to_text(c) for c in self.coeffs)}])"
 

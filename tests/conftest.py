@@ -1,7 +1,8 @@
 """Shared fixtures, matrix helpers, the references the library is checked
 against (full product, linear solve, determinant, full-kernel and
 key-system decoders, Newton interpolation, term-by-term skew product,
-per-factor msp), and height-bounded random generators for the test suite.
+msp solved from its definition), and height-bounded random generators for
+the test suite.
 
 Random inputs keep numerators and denominators small on purpose: exact
 arithmetic never fails, but coefficient growth makes large inputs slow.
@@ -17,6 +18,7 @@ from gabrec import (
     Matrix,
     SkewPoly,
     encode,
+    ext,
     left_divide,
     make_tower,
     msp,
@@ -180,13 +182,21 @@ def reference_skew_mul(f, g):
 
 
 def reference_msp(tower, elements):
-    """Minimal subspace polynomial as a product of monic factors x - theta(w)/w."""
-    poly = SkewPoly.constant(tower, tower.one)
-    for v in elements:
-        w = poly.evaluate(v)
-        if w:
-            poly = SkewPoly(tower, [-(w.theta() / w), tower.one]) * poly
-    return poly
+    """Minimal subspace polynomial from its definition, by one linear solve over L.
+
+    A K-basis b_0..b_(d-1) of the span is picked by ``rref`` of the
+    coordinates over K; the monic x^d + sum_(i<d) c_i x^i vanishes on it
+    exactly when sum_(i<d) c_i theta^i(b_j) = -theta^d(b_j) for every j.
+    The theta-Moore matrix of K-independent elements is invertible, so the
+    c_i are the last column of ``rref`` of that system.  The library builds
+    a product of monic factors, one per element.
+    """
+    elements = [tower.coerce(x) for x in elements]
+    _, d, basis = rref(ext(tower, elements))
+    iterates = theta_matrix(tower, [elements[j] for j in basis], d + 1).entries
+    system = [[*(iterates[i][j] for i in range(d)), -iterates[d][j]] for j in range(d)]
+    reduced, _, _ = rref(Matrix(tower, system, cols=d + 1))
+    return SkewPoly(tower, [*(row[d] for row in reduced.entries), tower.one])
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import mul_vec, rand_element, reference_det, solve, zero_matrix
 from gabrec import Matrix, QQ, format_matrix, make_tower, rank, right_kernel, rref
+from gabrec import exact_linalg
 from gabrec.exact_linalg import _read_matrix_text, first_kernel_vector
 
 
@@ -112,6 +113,19 @@ def rand_entry(field, rng, height=3, zeros=0.3):
     return rand_element(field, rng, height)
 
 
+def cramer_vector(field, rows):
+    """(-1)^(f-i) det(rows without column i) for i = 0..f, of f rows of length f + 1."""
+    f = len(rows)
+    minors = [reference_det(field, [row[:i] + row[i + 1 :] for row in rows])
+              for i in range(f + 1)]
+    return tuple(d if (f - i) % 2 == 0 else -d for i, d in enumerate(minors))
+
+
+def leading_minors(field, rows):
+    """The j-by-j minors of the first j rows on columns 0..j-1, for j = 1..len(rows)."""
+    return [reference_det(field, [row[:j] for row in rows[:j]]) for j in range(1, len(rows) + 1)]
+
+
 def test_first_kernel_vector_is_at_cramer_scale(zeta5, kummer4):
     # Bareiss keeps every entry of the vector an f-by-f minor of an f-by-(f+1)
     # matrix whose first f columns are independent, so that column f is the
@@ -121,14 +135,11 @@ def test_first_kernel_vector_is_at_cramer_scale(zeta5, kummer4):
     # kernel vector, at another scale.
     def check(m):
         f = m.rows
-        minors = [reference_det(m.field, [row[:i] + row[i + 1 :] for row in m.entries])
-                  for i in range(f + 1)]
-        assert minors[f]
-        cramer = tuple(d if (f - i) % 2 == 0 else -d for i, d in enumerate(minors))
+        cramer = cramer_vector(m.field, m.entries)
+        assert cramer[f]
         v = first_kernel_vector(m)
         # no row is swapped while every leading minor is nonzero
-        leading = [reference_det(m.field, [row[:j] for row in m.entries[:j]])
-                   for j in range(1, f + 1)]
+        leading = leading_minors(m.field, m.entries)
         if all(leading):
             assert v == cramer
         else:
@@ -151,6 +162,71 @@ def test_first_kernel_vector_is_at_cramer_scale(zeta5, kummer4):
                         break
                 swaps += not check(m)
     assert swaps
+
+
+def independent_rows(field, rng, f, extra):
+    """f + extra random rows of length f whose first f rows have nonzero leading minors."""
+    while True:
+        rows = [[rand_entry(field, rng) for _ in range(f)] for _ in range(f + extra)]
+        if all(leading_minors(field, rows[:f])):
+            return rows
+
+
+def with_dependent_column(field, rng, rows):
+    """The rows with one more column, a random combination of the others."""
+    coefficients = [rand_entry(field, rng, zeros=0) for _ in rows[0]]
+    return [row + [sum((a * x for a, x in zip(coefficients, row)), field.zero)] for row in rows]
+
+
+def test_first_kernel_vector_on_taller_matrices(zeta5, kummer4):
+    # (f+1)- and (f+2)-by-(f+1) matrices whose column f is a combination of
+    # the others: the lower rows of the last step are never divided, and the
+    # vector is that of the f rows chosen as pivots, at Cramer scale.  With
+    # row f-1 a copy of row f-2, step f-1 takes its pivot from row f, so
+    # v_(f-2) reads the 2x2 minor of a row swapped in from below.
+    def check(m, chosen):
+        v = first_kernel_vector(m)
+        assert v == cramer_vector(m.field, [m.entries[i] for i in chosen])
+        inverse = m.field.one / v[-1]
+        assert tuple(x * inverse for x in v) == right_kernel(m).entries[0]
+
+    rng = random.Random(7)
+    swapped = 0
+    for tower in (QQ, zeta5, kummer4, make_tower("kummer", 4, Fraction(3, 2))):
+        for f in range(1, 7):
+            for extra in (1, 2):
+                rows = independent_rows(tower, rng, f, extra)
+                check(Matrix(tower, with_dependent_column(tower, rng, rows)), range(f))
+                if f < 2:
+                    continue
+                rows[f - 1] = rows[f - 2]
+                chosen = [*range(f - 1), f]
+                if all(leading_minors(tower, [rows[i] for i in chosen])):
+                    check(Matrix(tower, with_dependent_column(tower, rng, rows)), chosen)
+                    swapped += 1
+    assert swapped >= 30
+    # the smallest such swap over QQ: row 1 is zero in column 1 after step 0
+    m = qq_matrix([[1, 2, 3], [2, 4, 6], [1, 1, 2]])
+    assert first_kernel_vector(m) == (1, 1, -1)  # the minors of rows 0 and 2
+
+
+def test_kernel_inverts_only_the_pivots_it_divides_by(monkeypatch, zeta5):
+    # d_(f-1) is v_f, d_(f-2) gives way to a 2x2 minor over d_(f-3), and the
+    # lower rows of the last step are never read, so exactly d_0 .. d_(f-3)
+    # are inverted, on wide, square and tall matrices alike
+    calls = []
+    invert = exact_linalg._invert
+    monkeypatch.setattr(exact_linalg, "_invert", lambda x: calls.append(x) or invert(x))
+    rng = random.Random(8)
+    for tower in (QQ, zeta5):
+        for f in range(1, 7):
+            shapes = [independent_rows(tower, rng, f, extra) for extra in (0, 1, 2)]
+            wide = [row + [rand_entry(tower, rng, zeros=0)] for row in shapes[0]]
+            for rows in (wide, *(with_dependent_column(tower, rng, r) for r in shapes[1:])):
+                calls.clear()
+                v = first_kernel_vector(Matrix(tower, rows))
+                assert v[f] and not any(v[f + 1 :])
+                assert len(calls) == max(0, f - 2), (f, len(rows))
 
 
 def test_rank_transpose_invariant():
