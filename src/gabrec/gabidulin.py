@@ -40,6 +40,15 @@ B v = 0 with B = E_bottom S.  So each decode solves one kernel of the
 [-A | S] on (q, v).  At n-k = 2t, B is t-by-(t+1), the size of a
 Peterson-type key equation.
 
+The decoder builds neither q, Q nor N.  N = Q * P has coefficients
+N_s = sum_l q_l theta^l(P_(s-l)) over l < t with 0 <= s-l <= k, and
+q_l = sum_j E_top[l][j] (S v)_j.  Regrouped, N_s = sum_(j in R) W_(s,j)
+(S v)_j with W_(s,j) = sum_l E_top[l][j] theta^l(P_(s-l)), where R holds
+the columns in which E_top is nonzero.  W and R depend only on the code
+(``GabCode.numerator_table``).  The left division takes each N_s as its
+list of products W_(s,j) (S v)_j, appends the products its steps subtract,
+and sums a coefficient once, when it reads it (``skew_poly``).
+
 The reduction keeps the decoded vector bit for bit.  The decoder takes v
 from the first free column of B, and this is the V part of the vector
 that the first free column of [-A | S] gives.  A reduced row echelon form
@@ -53,10 +62,10 @@ radius that is the monic annihilator of the error's entries.  The decoder
 computes that vector with ``first_kernel_vector``, which eliminates B by
 Bareiss and returns c v, where v is the vector rref(B) gives and c, the
 lead of c V, is a minor of B.  It decodes with c V as it comes.  The
-solutions (V, Q) form a left module over L: q = E_top S v gives
-E_top S (c v) = c q, so the numerator is c N, and N = V * f + R gives
-c N = (c V) * f + c R.  The quotient is the same, bit for bit, and the
-remainder is zero exactly when R is.  ``left_divide`` inverts c once; the
+solutions (V, Q) form a left module over L: W (S c v) = c N, so the
+numerator of c v is c N, and N = V * f + rem gives
+c N = (c V) * f + c rem.  The quotient is the same, bit for bit, and the
+remainder is zero exactly when rem is.  The division inverts c once; the
 kernel never inverts its last two pivots, so for t >= 2 the count of
 inverses is one fewer than that of a monic V, whose kernel would invert
 every pivot.
@@ -75,9 +84,9 @@ H e = H w = s, because f(g) is a codeword.
 The code is the measurement operator: every record is measured and
 recovered under one code.  So what depends only on the code is computed
 once per ``GabCode``, on first use, and kept on the instance: P, the
-reduction E of the h block above, and the points' text forms for
-``code_to_descriptor``.  ``build_code`` computes none of them, so a code
-that only measures never pays for P and E.
+reduction E of the h block above, the numerator table (R, W), and the
+points' text forms for ``code_to_descriptor``.  ``build_code`` computes
+none of them, so a code that only measures never pays for P, E and W.
 """
 
 from __future__ import annotations
@@ -89,7 +98,7 @@ from typing import Sequence
 from .exact_algebra import QQ, Tower, _Element, make_tower
 from .exact_linalg import Matrix, _dot, first_kernel_vector, right_kernel, rref
 from .rank_metric import ext, theta_matrix
-from .skew_poly import SkewPoly, left_divide, msp
+from .skew_poly import SkewPoly, _left_divide_sums, msp
 
 __all__ = [
     "GabCode",
@@ -108,10 +117,11 @@ class GabCode:
     """Immutable code instance; build with :func:`build_code`.
 
     The cached properties hold values that depend only on the code:
-    ``annihilator`` (P), ``key_reduction`` (E_top and E_bottom) and
-    ``point_texts``.  Each is computed on first use and kept in the instance
-    ``__dict__``, outside the dataclass fields, so equality and
-    ``dataclasses.replace`` ignore them.
+    ``annihilator`` (P), ``key_reduction`` (E_top and E_bottom),
+    ``numerator_table`` (R and W, from P and E_top) and ``point_texts``.
+    Each is computed on first use and kept in the instance ``__dict__``,
+    outside the dataclass fields, so equality and ``dataclasses.replace``
+    ignore them.
     ``build_code`` leaves them uncomputed: computing P and h there made
     ``build_code`` 52-80% slower on the benchmark workloads, also for codes
     that are never decoded.
@@ -156,6 +166,30 @@ class GabCode:
             raise AssertionError("the h block of the interpolation system has rank below t")
         block = tuple(row[t:] for row in reduced.entries)
         return block[:t], block[t:]
+
+    @functools.cached_property
+    def numerator_table(self) -> tuple[tuple[int, ...], tuple[tuple[_Element, ...], ...]]:
+        """(R, W): the decoder's numerator N = Q * P as sums over S v.
+
+        R holds the columns j of E_top with a nonzero entry, so q = E_top S v
+        reads only the entries (S v)_j with j in R.  N_s is the sum of
+        q_l theta^l(P_(s-l)) over l < t with 0 <= s - l <= k, so
+        N_s = sum_(j in R) W_(s,j) (S v)_j with
+        W_(s,j) = sum_l E_top[l][j] theta^l(P_(s-l)), for s < k + t.  Row s
+        of W holds one entry per column of R.
+        """
+        tower, t, k = self.tower, self.radius, self.k
+        e_top = self.key_reduction[0]
+        read = tuple(j for j in range(self.n - k) if any(row[j] for row in e_top))
+        # twisted[l][i] = theta^l(P_i)
+        twisted = [[c.theta(l) for c in self.annihilator.coeffs] for l in range(t)]
+        table = []
+        for s in range(k + t):
+            span = range(max(0, s - k), min(s + 1, t))  # l < t with 0 <= s - l <= k
+            table.append(
+                tuple(_dot(tower, ((e_top[l][j], twisted[l][s - l]) for l in span)) for j in read)
+            )
+        return read, tuple(table)
 
     @functools.cached_property
     def point_texts(self) -> tuple[str, ...]:
@@ -251,16 +285,12 @@ def syndrome_decode(code: GabCode, syndrome: Sequence) -> DecodeResult:
     v = first_kernel_vector(Matrix(tower, b, cols=t + 1))
     if v is None:
         return DecodeResult(success=False, reason="no_kernel")
-    # E_top is zero on the pivot columns of E_bottom: at most t entries of S v count
-    read = {j for row in e_top for j, e in enumerate(row) if e}
-    sv = [
-        _dot(tower, zip(v, (s_i[j] for s_i in s_block))) if j in read else tower.zero
-        for j in range(len(syndrome))
-    ]
-    quotient = [_dot(tower, zip(row, sv)) for row in e_top]
-    locator = SkewPoly(tower, v)
-    numerator = SkewPoly(tower, quotient) * code.annihilator
-    message, remainder = left_divide(numerator, locator)
+    # the numerator N = Q * P, q = E_top S v, as the sums N_s of W_(s,j) (S v)_j
+    # over j in R, divided before they are summed (GabCode.numerator_table)
+    read, table = code.numerator_table
+    sv = [_dot(tower, zip(v, (s_i[j] for s_i in s_block))) for j in read]
+    numerator = [list(zip(row, sv)) for row in table]
+    message, remainder = _left_divide_sums(numerator, SkewPoly(tower, v))
     if not remainder.is_zero():
         return DecodeResult(success=False, reason="remainder")
     if message.degree >= k:

@@ -123,33 +123,49 @@ class SkewPoly:
 def left_divide(n: SkewPoly, v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     """Quotient and remainder with n = v*q + r and deg r < deg v.
 
-    Works on coefficient lists, from the top shift down.  The quotient term
-    c x^shift takes v * c x^shift = sum_i v_i theta^i(c) x^(shift+i) off the
-    remainder.  c is chosen so that the top term v_dv theta^dv(c) equals the
-    remainder's coefficient at shift + dv, which is why the twist
-    theta^(-dv) shows up below; that coefficient cancels exactly and is
-    never computed.
+    Runs the long division that the decoder runs on its numerator's sums
+    of products (``_left_divide_sums``), here on the one-pair sums
+    (1, n_s).  The lead of v is inverted once, unless it is the field's
+    one itself.
     """
     if v.is_zero():
         raise ZeroDivisionError("left division by the zero polynomial")
     if n.tower != v.tower:
         raise ValueError("tower mismatch")
-    tower = n.tower
+    one = n.tower.one
+    return _left_divide_sums([[(one, c)] for c in n.coeffs], v)
+
+
+def _left_divide_sums(sums: list[list[tuple]], v: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
+    """``left_divide`` of the n whose coefficient n_s is the sum of a * b over sums[s].
+
+    Works from the top shift down, and keeps each coefficient of the
+    running remainder as its list of pairs, which it extends in place.  The
+    quotient term c x^shift takes v * c x^shift = sum_i v_i theta^i(c)
+    x^(shift+i) off the remainder, so each i < deg v with v_i != 0 appends
+    the pair (-v_i, theta^i(c)) to coefficient shift + i.  c is chosen so
+    that the top term v_dv theta^dv(c) equals the remainder's coefficient
+    at shift + dv, which is why the twist theta^(-dv) shows up below; that
+    coefficient cancels exactly and is never computed.  Each coefficient is
+    summed once, by one ``_dot``: the top when its shift is reached, a low
+    one as the remainder.  Only the summed top is multiplied by the lead's
+    inverse, which is taken once.
+    """
+    tower = v.tower
     dv = v.degree
     # a monic divisor whose lead is the field's one itself needs no inverse
     lead = v.coeffs[-1]
     lead_inv = None if lead is tower.one else lead.inverse()
-    r = list(n.coeffs)
-    q = [tower.zero] * (len(r) - dv)  # empty when deg n < deg v
+    low = [(i, -v_i) for i, v_i in enumerate(v.coeffs[:dv]) if v_i]
+    q = [tower.zero] * (len(sums) - dv)  # empty when deg n < deg v
     for shift in range(len(q) - 1, -1, -1):
-        top = r[shift + dv]
+        top = _dot(tower, sums[shift + dv])
         if not top:
             continue
         c = q[shift] = (top if lead_inv is None else lead_inv * top).theta(-dv)
-        for i, v_i in enumerate(v.coeffs[:dv]):
-            if v_i:
-                r[shift + i] = r[shift + i] - v_i * c.theta(i)
-    return SkewPoly(tower, q), SkewPoly(tower, r[:dv])
+        for i, a in low:
+            sums[shift + i].append((a, c.theta(i) if i else c))
+    return SkewPoly(tower, q), SkewPoly(tower, [_dot(tower, pairs) for pairs in sums[:dv]])
 
 
 def msp(tower: Tower, elements: Sequence) -> SkewPoly:

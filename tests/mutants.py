@@ -22,9 +22,10 @@ itself, so a refactor that moves one fails there first.  Standard library
 only.
 
 Two mutants of the key reduction are equivalent and left out.  Dropping
-column 0 from the entries of S v that E_top reads changes nothing: rows
-1.. of the h block already have rank t, so column 0 is always the first
-pivot of E_bottom and E_top is zero there.  Taking v from the last free
+column 0 from R, the columns of S v that E_top reads
+(``GabCode.numerator_table``), changes nothing: rows 1.. of the h block
+already have rank t, so column 0 is always the first pivot of E_bottom,
+E_top is zero there and R never holds it.  Taking v from the last free
 column of B in place of the first changes only the locator's degree.
 The solutions (V, Q) form a left module, so every kernel vector is a left
 multiple of the least one and divides to the same quotient, with a
@@ -126,14 +127,26 @@ MUTANTS = (
     Mutant("left_divide: never invert the lead", "skew_poly.py",
            "lead_inv = None if lead is tower.one else lead.inverse()", "lead_inv = None", SKEW),
     Mutant("left_divide: skip the remainder update", "skew_poly.py",
-           "r[shift + i] = r[shift + i] - v_i * c.theta(i)", "pass", SKEW),
+           "sums[shift + i].append((a, c.theta(i) if i else c))", "pass", SKEW),
+    Mutant("left_divide: append the update to coefficient shift + i + 1", "skew_poly.py",
+           "sums[shift + i].append", "sums[shift + i + 1].append", SKEW),
     Mutant("left_divide: twist the update one iterate too far", "skew_poly.py",
-           "v_i * c.theta(i)", "v_i * c.theta(i + 1)", SKEW),
+           "c.theta(i) if i else c", "c.theta(i + 1)", SKEW),
+    Mutant("left_divide: leave the update untwisted", "skew_poly.py",
+           "c.theta(i) if i else c", "c", SKEW),
     Mutant("left_divide: keep the cancelled top in the remainder", "skew_poly.py",
-           "SkewPoly(tower, r[:dv])", "SkewPoly(tower, r[: dv + 1])", SKEW),
+           "for pairs in sums[:dv]", "for pairs in sums[: dv + 1]", SKEW),
+    Mutant("left_divide: read the remainder one coefficient too far", "skew_poly.py",
+           "for pairs in sums[:dv]", "for pairs in sums[1 : dv + 1]", SKEW),
     Mutant("decode: Q = 0", "gabidulin.py",
-           "quotient = [_dot(tower, zip(row, sv)) for row in e_top]",
-           "quotient = [tower.zero for row in e_top]", DECODE),
+           "sv = [_dot(tower, zip(v, (s_i[j] for s_i in s_block))) for j in read]",
+           "sv = [tower.zero for j in read]", DECODE),
+    Mutant("numerator table: twist P by theta^(l+1), not theta^l", "gabidulin.py",
+           "[c.theta(l) for c", "[c.theta(l + 1) for c", DECODE),
+    Mutant("numerator table: read P_(s-l-1), not P_(s-l)", "gabidulin.py",
+           "twisted[l][s - l]", "twisted[l][s - l - 1]", DECODE),
+    Mutant("numerator table: drop the bound s - l <= k", "gabidulin.py",
+           "range(max(0, s - k), min(s + 1, t))", "range(min(s + 1, t))", DECODE),
     Mutant("decode: E split at t+1", "gabidulin.py",
            "return block[:t], block[t:]", "return block[: t + 1], block[t + 1 :]", DECODE),
     Mutant("decode: E split at t-1", "gabidulin.py",
@@ -174,8 +187,8 @@ MUTANTS = (
     Mutant("code: skip the check that the points are independent over K", "gabidulin.py",
            "if rref(ext(tower, points))[1] != n:", "if False:",
            ("tests/test_gabidulin.py::test_build_rejects_bad_parameters",)),
-    Mutant("key reduction: leave the last column of E_top out of read", "gabidulin.py",
-           "for j, e in enumerate(row) if e}", "for j, e in enumerate(row[:-1]) if e}",
+    Mutant("key reduction: leave the last column of E_top out of R", "gabidulin.py",
+           "for j in range(self.n - k) if any(", "for j in range(self.n - k - 1) if any(",
            ("tests/test_gabidulin.py::test_decode_rank_one_error",)),
     Mutant("key reduction: leave the last column of E_bottom out of B", "gabidulin.py",
            "_dot(tower, zip(row, s_i)) for s_i in s_block",

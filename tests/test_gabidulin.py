@@ -309,15 +309,15 @@ def test_random_syndromes_match_rank_checked_reference(monkeypatch):
     # the rank check, so any success the division alone lets through as a
     # wrong answer shows up as a mismatch.
     exits = collections.Counter()
-    left_divide = gabidulin.left_divide
+    divide = gabidulin._left_divide_sums
     remainders = []
 
     def divide_spy(numerator, locator):
-        quotient, remainder = left_divide(numerator, locator)
+        quotient, remainder = divide(numerator, locator)
         remainders.append(remainder)
         return quotient, remainder
 
-    monkeypatch.setattr(gabidulin, "left_divide", divide_spy)
+    monkeypatch.setattr(gabidulin, "_left_divide_sums", divide_spy)
     rng = random.Random(15)
     for spec in ORACLE_TOWERS:
         tower = make_tower(*spec)
@@ -425,13 +425,13 @@ def test_locator_is_the_error_span_annihilator(monkeypatch):
     # kernel vector decodes the same word to the same result, so only the
     # locator tells them apart.
     locators = []
-    left_divide = gabidulin.left_divide
+    divide = gabidulin._left_divide_sums
 
     def spy(numerator, locator):
         locators.append(locator)
-        return left_divide(numerator, locator)
+        return divide(numerator, locator)
 
-    monkeypatch.setattr(gabidulin, "left_divide", spy)
+    monkeypatch.setattr(gabidulin, "_left_divide_sums", spy)
     rng = random.Random(18)
     for tower in (make_tower("cyclotomic", 7), make_tower("kummer", 4)):
         n = tower.m
@@ -533,7 +533,7 @@ def test_decode_scale_instance():
     assert list(result.error) == e
 
 
-CACHED = ("annihilator", "key_reduction", "point_texts")
+CACHED = ("annihilator", "key_reduction", "numerator_table", "point_texts")
 CACHE_TOWERS = [
     ("cyclotomic", 5),
     ("cyclotomic", 7),
@@ -578,6 +578,39 @@ def test_cached_code_constants_match_fresh_computation(params):
         assert recover(code, record) == first
         assert recover(code_from_descriptor(code_to_descriptor(code)), record) == first
         assert recover(dataclasses.replace(code), record) == first
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("cyclotomic", 5), ("cyclotomic", 7), ("kummer", 4, 2), ("kummer", 4, Fraction(3, 2))],
+    ids=lambda p: ":".join(map(str, p)),
+)
+def test_numerator_table_regroups_the_product_with_p(params):
+    # W (S v)_R is the numerator the decoder divides: q = E_top S v and then
+    # the skew product Q * P, for any v and s
+    tower = make_tower(*params)
+    rng = random.Random(20)
+    for k in range(1, tower.m + 1):
+        code = build_code(tower, tower.m, k)
+        t, r = code.radius, code.n - k
+        e_top = code.key_reduction[0]
+        read, table = code.numerator_table
+        assert read == tuple(j for j in range(r) if any(row[j] for row in e_top))
+        assert 0 not in read  # column 0 is the first pivot of E_bottom
+        assert len(table) == k + t and all(len(row) == len(read) for row in table)
+        for _ in range(2):
+            s_block = theta_matrix(tower, rand_vector(tower, rng, r, 3), t + 1).entries
+            v = rand_vector(tower, rng, t + 1, 3)
+            sv = [
+                sum((v_i * s_i[j] for v_i, s_i in zip(v, s_block)), tower.zero) for j in range(r)
+            ]
+            q = [sum((e * x for e, x in zip(row, sv)), tower.zero) for row in e_top]
+            expected = SkewPoly(tower, q) * code.annihilator
+            numerator = [
+                sum((w * sv[j] for w, j in zip(row, read)), tower.zero) for row in table
+            ]
+            assert SkewPoly(tower, numerator) == expected, k
+            assert expected.degree < k + t
 
 
 def test_descriptor_is_isolated_from_caller_mutation(code5, code_k4):

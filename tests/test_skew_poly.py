@@ -15,6 +15,7 @@ from conftest import (
     reference_skew_mul,
 )
 from gabrec import SkewPoly, ext, left_divide, make_tower, msp, rank
+from gabrec import skew_poly
 
 
 def test_add_examples(zeta5, kummer4):
@@ -210,6 +211,61 @@ def test_left_divide_identity(zeta5, kummer4):
 def test_left_divide_by_zero_raises(zeta5):
     with pytest.raises(ZeroDivisionError):
         left_divide(SkewPoly.constant(zeta5, zeta5.one), SkewPoly(zeta5))
+
+
+def reference_left_divide(n, v):
+    """Long division as written: take v * c x^shift off the remainder while deg r >= deg v."""
+    tower = n.tower
+    q, r = SkewPoly(tower), n
+    while r.degree >= v.degree:
+        shift = r.degree - v.degree
+        c = (r.coeffs[-1] / v.coeffs[-1]).theta(-v.degree)
+        term = SkewPoly(tower, [tower.zero] * shift + [c])
+        q, r = q + term, r - reference_skew_mul(v, term)
+    return q, r
+
+
+def as_sums(tower, rng, n):
+    """The coefficients of n as lists of zero to three pairs (a, b) whose products sum to n_s."""
+    sums = []
+    for c in n.coeffs:
+        x, y = rand_nonzero_element(tower, rng, 3), rand_element(tower, rng, 3)
+        if not c:  # no pair, or two that cancel
+            sums.append([] if rng.random() < 0.5 else [(x, y), (-x, y)])
+            continue
+        rest = c - 2 * x * y
+        last = (tower.one, rest) if rng.random() < 0.5 else (x, rest / x)
+        sums.append([(x, y), (x, y), last])
+    return sums
+
+
+def test_division_of_sums_matches_long_division(zeta5, kummer4):
+    # the routine the decoder calls divides a numerator given as sums of
+    # products: quotient and remainder equal a long division's, bit for bit
+    rng = random.Random(21)
+    for tower in (zeta5, kummer4):
+        a, b = (rand_nonzero_element(tower, rng, 3) for _ in range(2))
+        divisors = [rand_poly(tower, rng, 3) for _ in range(6)] + [
+            SkewPoly(tower, [0, 0, a]),  # not monic, zero low coefficients
+            SkewPoly(tower, [0, b, 0, a]),
+            SkewPoly.constant(tower, tower.one),
+            SkewPoly.constant(tower, a),
+        ]
+        for v in divisors:
+            if v.is_zero():
+                continue
+            numerators = [rand_poly(tower, rng, 6) for _ in range(3)] + [
+                SkewPoly(tower),
+                SkewPoly(tower, [a] * v.degree),  # deg n < deg v
+                # after the first step every top is zero
+                v * SkewPoly(tower, [0, 0, 0, b]) + SkewPoly(tower, [a] * v.degree),
+            ]
+            for n in numerators:
+                expected = reference_left_divide(n, v)
+                assert skew_poly._left_divide_sums(as_sums(tower, rng, n), v) == expected
+                assert left_divide(n, v) == expected
+                q, r = expected
+                assert reference_skew_mul(v, q) + r == n and r.degree < v.degree
 
 
 def test_msp_of_zero(zeta5):
