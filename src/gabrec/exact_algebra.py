@@ -211,15 +211,6 @@ def scalar_to_text(value) -> str:
 # ---------------------------------------------------------------------------
 # the rational base field
 
-def _rational_parts(value) -> tuple[int, tuple[int]]:
-    # (positive denominator, (numerator,)) of an int or a Fraction
-    if isinstance(value, int):
-        return 1, (value,)
-    if isinstance(value, Fraction):
-        return value.denominator, (value.numerator,)
-    raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
-
-
 class RationalField:
     """Field handle for exact rationals, usable wherever a field is expected."""
 
@@ -451,19 +442,19 @@ class _CoordinateField:
     Two handles are equal when their ``_key``, the class name and the
     construction parameters, is; ``_element`` is the class of their elements.
     Each subclass provides the hooks that :class:`_Element` and the handle
-    call: ``_width`` numerators per coordinate; ``_scalar_parts`` (one
-    scalar as its denominator and row of numerators, for ``embed_scalar``,
-    through which a scalar operand enters every operator); ``_numerators``
-    (m scalars as one denominator and its numerators, for ``from_coords``)
-    and ``_coords`` (the reverse, the scalars of den and numerators), each
-    one call per vector; ``_convolve`` (adds the product of two numerator
-    vectors into a buffer of ``_buffer_size`` integers), ``_reduce`` (the
-    buffer as numerators) and ``_q`` (the denominator a product leaves);
-    ``_product_and_norm`` (P and N together) and ``_divide_by_norm`` for
-    the inverse; and ``_theta_nums`` on a tower.  Over ``_convolve``, ``_reduce`` and ``_q``
-    the handle implements, once for every field, ``_mul_nums`` (a product
-    of numerators) and ``_sum_products`` (a sum of products reduced once,
-    for ``exact_linalg._dot``).
+    call: ``_width`` numerators per coordinate; ``_numerators`` (scalars
+    as one denominator and its numerators, for ``from_coords``, and for
+    ``embed_scalar`` on a list of one, through which a scalar operand
+    enters every operator) and ``_coords`` (the reverse, the scalars of den
+    and numerators), each one call per vector; ``_convolve`` (adds the
+    product of two numerator vectors into a buffer of ``_buffer_size``
+    integers), ``_reduce`` (the buffer as numerators) and ``_q`` (the
+    denominator a product leaves); ``_product_and_norm`` (P and N together)
+    and ``_divide_by_norm`` for the inverse; and ``_theta_nums`` on a
+    tower.  Over ``_convolve``, ``_reduce`` and ``_q`` the handle
+    implements, once for every field, ``_mul_nums`` (a product of
+    numerators) and ``_sum_products`` (a sum of products reduced once, for
+    ``exact_linalg._dot``).
     """
 
     _element: type
@@ -486,11 +477,11 @@ class _CoordinateField:
     # elements are immutable, so each handle builds its zero and one once
     @functools.cached_property
     def zero(self) -> _Element:
-        return self.embed_scalar(self.scalar_field.zero)
+        return self._element(self, 1, (0,) * (self._width * self.m))
 
     @functools.cached_property
     def one(self) -> _Element:
-        return self.embed_scalar(self.scalar_field.one)
+        return self._basis_vector(0)
 
     @property
     def basis(self) -> list[_Element]:
@@ -509,7 +500,7 @@ class _CoordinateField:
         return self._element(self, *self._numerators(values))
 
     def embed_scalar(self, value) -> _Element:
-        den, row = self._scalar_parts(value)
+        den, row = self._numerators([value])
         return self._element(self, den, row + (0,) * (self._width * (self.m - 1)))
 
     def coerce(self, value) -> _Element:
@@ -577,8 +568,6 @@ class CyclotomicField(_CoordinateField):
             [(t, c) for t, c in enumerate(self._reduce([0] * k + [1] + [0] * self.m)) if c]
             for k in range(conductor)
         ]
-
-    _scalar_parts = staticmethod(_rational_parts)
 
     @staticmethod
     def _coords(den: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
@@ -771,10 +760,6 @@ class KummerTower(Tower):
     def imaginary_unit(self) -> CyclotomicElement:
         """i as an element of K (K contains a primitive 4th root of unity)."""
         return self.scalar_field.zeta(self.n // 4)
-
-    def _scalar_parts(self, value) -> tuple[int, tuple[int, ...]]:
-        x = self.scalar_field.coerce(value)
-        return x.den, x.nums
 
     def _coords(self, den: int, nums: Sequence[int]) -> tuple[CyclotomicElement, ...]:
         # each row of numerators over den, as a canonical K-element; the rows

@@ -40,14 +40,16 @@ B v = 0 with B = E_bottom S.  So each decode solves one kernel of the
 [-A | S] on (q, v).  At n-k = 2t, B is t-by-(t+1), the size of a
 Peterson-type key equation.
 
-The decoder builds neither q, Q nor N.  N = Q * P has coefficients
-N_s = sum_l q_l theta^l(P_(s-l)) over l < t with 0 <= s-l <= k, and
-q_l = sum_j E_top[l][j] (S v)_j.  Regrouped, N_s = sum_(j in R) W_(s,j)
-(S v)_j with W_(s,j) = sum_l E_top[l][j] theta^l(P_(s-l)), where R holds
-the columns in which E_top is nonzero.  W and R depend only on the code
-(``GabCode.numerator_table``).  The left division takes each N_s as its
-list of products W_(s,j) (S v)_j, appends the products its steps subtract,
-and sums a coefficient once, when it reads it (``skew_poly``).
+The decoder builds neither q, Q nor N.  As q_l = sum_j E_top[l][j] (S v)_j,
+Q = sum_j (S v)_j Q_j for the per-code Q_j = sum_l E_top[l][j] x^l, and a
+scalar on the left of Q passes to the left of Q * P, so
+N = Q * P = sum_(j in R) (S v)_j (Q_j * P), where R holds the columns in
+which E_top is nonzero.  So N_s = sum_(j in R) W_(s,j) (S v)_j, where
+column j of W holds the coefficients of the skew product Q_j * P.  W and R
+depend only on the code (``GabCode.numerator_table``).  The left division
+takes each N_s as its list of products W_(s,j) (S v)_j, appends the
+products its steps subtract, and sums a coefficient once, when it reads it
+(``skew_poly``).
 
 The reduction keeps the decoded vector bit for bit.  The decoder takes v
 from the first free column of B, and this is the V part of the vector
@@ -172,24 +174,17 @@ class GabCode:
         """(R, W): the decoder's numerator N = Q * P as sums over S v.
 
         R holds the columns j of E_top with a nonzero entry, so q = E_top S v
-        reads only the entries (S v)_j with j in R.  N_s is the sum of
-        q_l theta^l(P_(s-l)) over l < t with 0 <= s - l <= k, so
-        N_s = sum_(j in R) W_(s,j) (S v)_j with
-        W_(s,j) = sum_l E_top[l][j] theta^l(P_(s-l)), for s < k + t.  Row s
-        of W holds one entry per column of R.
+        reads only the entries (S v)_j with j in R.  Column j of W is the
+        skew product Q_j * P with Q_j = sum_l E_top[l][j] x^l, so
+        N_s = sum_(j in R) W_(s,j) (S v)_j.  Row s of W, for s < k + t,
+        holds coefficient s of each column's product; at t = 0, R is
+        empty and W has k empty rows.
         """
         tower, t, k = self.tower, self.radius, self.k
         e_top = self.key_reduction[0]
         read = tuple(j for j in range(self.n - k) if any(row[j] for row in e_top))
-        # twisted[l][i] = theta^l(P_i)
-        twisted = [[c.theta(l) for c in self.annihilator.coeffs] for l in range(t)]
-        table = []
-        for s in range(k + t):
-            span = range(max(0, s - k), min(s + 1, t))  # l < t with 0 <= s - l <= k
-            table.append(
-                tuple(_dot(tower, ((e_top[l][j], twisted[l][s - l]) for l in span)) for j in read)
-            )
-        return read, tuple(table)
+        columns = [SkewPoly(tower, [row[j] for row in e_top]) * self.annihilator for j in read]
+        return read, tuple(tuple(c.coeff(s) for c in columns) for s in range(k + t))
 
     @functools.cached_property
     def point_texts(self) -> tuple[str, ...]:
@@ -197,7 +192,7 @@ class GabCode:
 
     def syndrome(self, word: Sequence) -> list[_Element]:
         """Parity-check image H word; H is the identity on its last n-k columns."""
-        word = _coerce_word(self, word)
+        word = _coerce_word(self, word, self.n)
         head, tail = word[: self.k], word[self.k :]
         return [
             s + _dot(self.tower, zip(row, head))
@@ -252,10 +247,10 @@ def encode(code: GabCode, message: SkewPoly) -> list[_Element]:
     ]
 
 
-def _coerce_word(code: GabCode, word: Sequence) -> list[_Element]:
+def _coerce_word(code: GabCode, word: Sequence, length: int) -> list[_Element]:
     word = [code.tower.coerce(x) for x in word]
-    if len(word) != code.n:
-        raise ValueError(f"expected a length-{code.n} word, got {len(word)}")
+    if len(word) != length:
+        raise ValueError(f"expected a length-{length} word, got {len(word)}")
     return word
 
 
@@ -274,12 +269,10 @@ def syndrome_decode(code: GabCode, syndrome: Sequence) -> DecodeResult:
     most t.
     """
     tower, t, k = code.tower, code.radius, code.k
-    syndrome = [tower.coerce(x) for x in syndrome]
-    if len(syndrome) != code.n - k:
-        raise ValueError(f"expected a length-{code.n - k} syndrome, got {len(syndrome)}")
+    syndrome = _coerce_word(code, syndrome, code.n - k)
     # interpolate V(s_j) = Q(h_j): S v = A q with S_ji = theta^i(s_j); E turns
     # it into B v = 0, B = E_bottom S, and q = E_top S v (module docstring)
-    e_top, e_bottom = code.key_reduction
+    e_bottom = code.key_reduction[1]
     s_block = theta_matrix(tower, syndrome, t + 1).entries  # row i: theta^i(s)
     b = [[_dot(tower, zip(row, s_i)) for s_i in s_block] for row in e_bottom]
     v = first_kernel_vector(Matrix(tower, b, cols=t + 1))
@@ -310,7 +303,7 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
     and failure exits.  A nonzero head is added back to the codeword and
     its message.
     """
-    received = _coerce_word(code, received)
+    received = _coerce_word(code, received, code.n)
     result = syndrome_decode(code, code.syndrome(received))
     head = received[: code.k]
     if result.success and any(head):

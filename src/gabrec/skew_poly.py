@@ -65,8 +65,7 @@ class SkewPoly:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.tower, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + -other
 
     def __neg__(self):
         return SkewPoly(self.tower, [-c for c in self.coeffs])

@@ -141,18 +141,20 @@ MUTANTS = (
     Mutant("decode: Q = 0", "gabidulin.py",
            "sv = [_dot(tower, zip(v, (s_i[j] for s_i in s_block))) for j in read]",
            "sv = [tower.zero for j in read]", DECODE),
-    Mutant("numerator table: twist P by theta^(l+1), not theta^l", "gabidulin.py",
-           "[c.theta(l) for c", "[c.theta(l + 1) for c", DECODE),
-    Mutant("numerator table: read P_(s-l-1), not P_(s-l)", "gabidulin.py",
-           "twisted[l][s - l]", "twisted[l][s - l - 1]", DECODE),
-    Mutant("numerator table: drop the bound s - l <= k", "gabidulin.py",
-           "range(max(0, s - k), min(s + 1, t))", "range(min(s + 1, t))", DECODE),
+    Mutant("numerator table: take P * Q_j, not Q_j * P", "gabidulin.py",
+           "SkewPoly(tower, [row[j] for row in e_top]) * self.annihilator",
+           "self.annihilator * SkewPoly(tower, [row[j] for row in e_top])", DECODE),
+    Mutant("numerator table: W one row short", "gabidulin.py",
+           "for s in range(k + t))", "for s in range(k + t - 1))", DECODE),
     Mutant("decode: E split at t+1", "gabidulin.py",
            "return block[:t], block[t:]", "return block[: t + 1], block[t + 1 :]", DECODE),
     Mutant("decode: E split at t-1", "gabidulin.py",
            "return block[:t], block[t:]", "return block[: t - 1], block[t - 1 :]", DECODE),
     Mutant("decode: skip the terms with an exact-one factor in _dot", "exact_linalg.py",
            "for a, b in pairs if a and b]", "for a, b in pairs if a and b and a is not field.one]",
+           DECODE),
+    Mutant("syndrome decode: check the length against n, not n - k", "gabidulin.py",
+           "_coerce_word(code, syndrome, code.n - k)", "_coerce_word(code, syndrome, code.n)",
            DECODE),
     Mutant("decode: drop the degree exit", "gabidulin.py",
            "    if message.degree >= k:\n", "    if False:\n", DECODE),
@@ -182,6 +184,11 @@ MUTANTS = (
     Mutant("Kummer inverse: skip the product with the norm's inverse", "exact_algebra.py",
            "return scale.den * self._q, self._mul_nums(product, scale.nums)",
            "return scale.den * self._q, product", ALGEBRA),
+    Mutant("embedding: pad before the scalar's row, not after it", "exact_algebra.py",
+           "row + (0,) * (self._width * (self.m - 1))",
+           "(0,) * (self._width * (self.m - 1)) + row", ALGEBRA),
+    Mutant("embedding: build one as basis vector 1", "exact_algebra.py",
+           "return self._basis_vector(0)", "return self._basis_vector(1)", ALGEBRA),
     Mutant("basis: vector i at index i, not i * width", "exact_algebra.py",
            "nums[i * self._width] = 1", "nums[i] = 1", ALGEBRA),
     Mutant("code: skip the check that the points are independent over K", "gabidulin.py",

@@ -375,6 +375,19 @@ def test_handle_contract(make, make_foreign):
         assert handle.from_coords(a.coords) == a
         assert handle.coerce(a) is a
     assert handle.zero == 0 and handle.one == 1 and handle.embed_scalar(2) == 2
+    # a scalar embeds as the vector (s, 0, ..., 0), representation and all,
+    # and zero and one are the embedded 0 and 1
+    def parts(x):
+        return x.den, x.nums
+
+    scalars = [2, Fraction(-3, 4)]
+    if isinstance(handle, KummerTower):
+        scalars.append(_random_element(handle.scalar_field, rng) * Fraction(1, 6))
+    padding = [handle.scalar_field.zero] * (handle.m - 1)
+    for s in scalars:
+        assert parts(handle.embed_scalar(s)) == parts(handle.from_coords([s, *padding])), s
+    assert parts(handle.zero) == parts(handle.embed_scalar(0))
+    assert parts(handle.one) == parts(handle.embed_scalar(1))
     assert [b.coords.index(handle.scalar_field.one) for b in handle.basis] == list(range(handle.m))
     with pytest.raises(ValueError):
         handle.coerce(foreign.one)
