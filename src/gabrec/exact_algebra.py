@@ -50,7 +50,13 @@ exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois
 action sigma_u (s = 0; theta of the cyclotomic tower is sigma_g),
 ``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.  It needs
 no gcd: sigma_u and the product with the unit zeta^s map the lattice
-Z[zeta], whose Z-basis is the power basis, onto itself.
+Z[zeta], whose Z-basis is the power basis, onto itself.  The same moves
+build a tower's twist table, the integer matrix of
+x -> sum_j c_j theta^(s_j)(x_j) for constants c_j: theta^s maps a
+power-basis vector to a root of unity times a basis vector, so each column
+is a c_j moved, with no product.  A sum through it is one integer dot per
+numerator over the lcm of the x_j's denominators and one gcd, canonical
+like the fused sum of products.
 
 The inverse comes from the norm: x^-1 is the product P of the other Galois
 conjugates of x divided by N(x), the product of all of them, taken on the
@@ -77,6 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -450,11 +457,15 @@ class _CoordinateField:
     product of two numerator vectors into a buffer of ``_buffer_size``
     integers), ``_reduce`` (the buffer as numerators) and ``_q`` (the
     denominator a product leaves); ``_product_and_norm`` (P and N together)
-    and ``_divide_by_norm`` for the inverse; and ``_theta_nums`` on a
-    tower.  Over ``_convolve``, ``_reduce`` and ``_q`` the handle
+    and ``_divide_by_norm`` for the inverse; and on a tower ``_theta_nums``
+    and ``_twist_columns`` (the columns of x -> c theta^s(x), moved out of
+    c's numerators).  Over ``_convolve``, ``_reduce`` and ``_q`` the handle
     implements, once for every field, ``_mul_nums`` (a product of
     numerators) and ``_sum_products`` (a sum of products reduced once, for
-    ``exact_linalg._dot``).
+    ``exact_linalg._dot``); over ``_twist_columns`` a tower implements
+    ``_twist_table`` (the integer matrix of x -> sum_j c_j theta^(s_j)(x_j)
+    for per-code constants c_j) and ``_table_sums`` (its sums, for the
+    decoder's key equation).
     """
 
     _element: type
@@ -689,6 +700,49 @@ class Tower(_CoordinateField):
                 z = mul(z, factor)
         return product, z
 
+    def _twist_table(self, constants: Sequence[_Element], shifts: Sequence[Sequence[int]]) -> tuple:
+        # (den, rows): the integer matrix of x -> sum_j c_j theta^(s_j)(x_j),
+        # one block of rows per tuple s in shifts, over the lcm of the c_j's
+        # denominators times _q.  Column (j, i) of a block holds the numerators
+        # of c_j theta^(s_j)(b_i) for the basis vector b_i, which
+        # ``_twist_columns`` moves out of c_j's, with no product, as pairs
+        # (row, value) of its nonzero entries.  A row keeps only its nonzero
+        # entries, as the column indices and the values
+        den = math.lcm(*(c.den for c in constants))
+        per_constant = [
+            self._twist_columns(
+                c.nums if c.den == den else [den // c.den * x for x in c.nums],
+                [s[j] for s in shifts],
+            )
+            for j, c in enumerate(constants)
+        ]
+        size, rows = self._width * self.m, []
+        for b in range(len(shifts)):
+            indices, values = [[] for _ in range(size)], [[] for _ in range(size)]
+            columns = itertools.chain.from_iterable(twists[b] for twists in per_constant)
+            for i, column in enumerate(columns):
+                for r, v in column:
+                    indices[r].append(i)
+                    values[r].append(v)
+            rows += zip(indices, values)
+        return den * self._q, tuple(rows)
+
+    def _table_sums(self, table: tuple, xs: Sequence[_Element]) -> list[_Element]:
+        # one sum per block of a ``_twist_table``: the x_j's numerators over
+        # their lcm, and per output numerator one integer dot of a row's
+        # values with the numerators it indexes; one gcd ends each sum
+        den, rows = table
+        common = math.lcm(*(x.den for x in xs))
+        flat = []
+        for x in xs:
+            flat += x.nums if x.den == common else [common // x.den * v for v in x.nums]
+        get = flat.__getitem__
+        nums = [sum(map(operator.mul, values, map(get, indices))) for indices, values in rows]
+        size, canonical = self._width * self.m, self._element._canonical
+        return [
+            canonical(self, den * common, nums[k : k + size]) for k in range(0, len(nums), size)
+        ]
+
     def _check_theta_order(self) -> None:
         # theta must have exact multiplicative order m, witnessed on a generator
         gen = self.generator()
@@ -714,6 +768,14 @@ class CyclotomicTower(Tower, CyclotomicField):
     def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
         # theta^j = sigma_(g^j)
         return self._move(nums, pow(self.primitive_root, j % self.m, self.conductor))
+
+    def _twist_columns(self, nums: Sequence[int], shifts: Sequence[int]) -> list[list[tuple]]:
+        # per shift s, column e of x -> c theta^s(x): c zeta^(u e), u = g^s,
+        # one of the p moves of c's numerators
+        p = self.conductor
+        moved = [_nonzero(self._move(nums, 1, w)) for w in range(p)]
+        units = [pow(self.primitive_root, s % self.m, p) for s in shifts]
+        return [[moved[u * e % p] for e in range(self.m)] for u in units]
 
 
 class KummerTower(Tower):
@@ -819,6 +881,27 @@ class KummerTower(Tower):
         scale = self.embed_scalar(CyclotomicElement(self.scalar_field, 1, norm[:d]).inverse())
         return scale.den * self._q, self._mul_nums(product, scale.nums)
 
+    def _twist_columns(self, nums: Sequence[int], shifts: Sequence[int]) -> list[list[tuple]]:
+        # per shift s, column i d + e of x -> c theta^s(x): c zeta^w alpha^i
+        # with w = e + i s, the rows of c moved by zeta^w and shifted up by i.
+        # Rows past alpha^(n-1) wrap round by alpha^n = p / q, so the rows
+        # that stay are taken times q, which _q adds to the table's den
+        base, n, d, p, q = self.scalar_field, self.n, self._width, self._p, self._q
+        rows = [nums[r * d : (r + 1) * d] for r in range(n)]
+        size = n * d
+        twists = []  # twists[w][i]: the nonzero numerators of c zeta^w alpha^i
+        for w in range(n):
+            moved = [base._move(row, 1, w) if any(row) else row for row in rows]
+            nonzero = _nonzero([x for row in moved for x in row])
+            twists.append([
+                [(k + i * d, q * v) if k + i * d < size else (k + i * d - size, p * v)
+                 for k, v in nonzero]
+                for i in range(n)
+            ])
+        return [
+            [twists[(e + i * s) % n][i] for i in range(n) for e in range(d)] for s in shifts
+        ]
+
     def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:
         # theta^j: alpha^i -> zeta^(i j) alpha^i, so row i shifts by i j
         base = self.scalar_field
@@ -828,6 +911,11 @@ class KummerTower(Tower):
             row = nums[i * d : (i + 1) * d]
             out += base._move(row, 1, i * j) if i * j % n else row
         return tuple(out)
+
+
+def _nonzero(nums: Sequence[int]) -> list[tuple[int, int]]:
+    # the pairs (index, numerator) of the nonzero numerators
+    return list(itertools.compress(enumerate(nums), nums))
 
 
 def _is_square_in_cyclotomic(c: Fraction, n: int) -> bool:

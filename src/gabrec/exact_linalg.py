@@ -24,11 +24,14 @@ row, whitespace-separated.  ``_read_matrix_text`` reads that layout back as
 rows of tokens, which the command line's ``approx`` reads as decimal or
 complex numbers.
 
-``_dot`` is the package's one sum of products: the decoder's
-B = E_bottom S, S v, its numerator table and each coefficient that its left
-division reads, ``encode``, the syndrome, the forward elimination and back
+``_dot`` is the package's one sum of products of elements: the decoder's
+S v, its numerator table and each coefficient that its left division
+reads, ``encode``, the syndrome, the forward elimination and back
 substitution of ``first_kernel_vector``, ``SkewPoly.evaluate`` and each
-coefficient of ``SkewPoly.__mul__`` all call it.  It drops the pairs with a zero factor.  Two products or more go to the
+coefficient of ``SkewPoly.__mul__`` all call it.  The decoder's sums c_e of
+a per-code vector against the twisted syndrome go through a per-code
+integer table instead (``Tower._table_sums``), with the same canonical
+result.  It drops the pairs with a zero factor.  Two products or more go to the
 handle's ``_sum_products``, which works on numerators: every convolution
 lands in one buffer over the lcm of the products' denominators, which
 reduces once and ends in one gcd; over QQ it is a plain ``Fraction`` sum.

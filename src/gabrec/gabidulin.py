@@ -31,31 +31,64 @@ S is (n-k)-by-(t+1) with S_ji = theta^i(s_j), and A is (n-k)-by-t with
 A_ji = theta^i(h_j).  The h_j are K-independent, so A has full column rank
 t (Augot-Loidreau-Robert): every nonzero solution has V != 0.
 
-A depends only on the code, so its elimination is done once per code.  Let
-E be the right block of rref([A | I_(n-k)]).  E is invertible, and its first
-t rows E_top and the others E_bottom satisfy E_top A = I_t and
-E_bottom A = 0.  Multiplied by E, S v = A q splits into q = E_top S v and
-B v = 0 with B = E_bottom S.  So each decode solves one kernel of the
+A depends only on the code, and so does the left kernel of A, the rows z
+with z A = 0, of dimension n-k-t.  The dual of a Gabidulin code is a
+Gabidulin code (Gabidulin, Probl. Inf. Transm. 1985; in characteristic
+zero, Augot-Loidreau-Robert, Des. Codes Cryptogr. 2018), so a Moore matrix
+spans that kernel.  Let y be the kernel vector of the (n-k-1)-by-(n-k)
+matrix theta^e(h_j), e <= n-k-2.  Then
+sum_j theta^(-d)(y_j) theta^i(h_j) = theta^(-d)(sum_j y_j theta^(i+d)(h_j))
+vanishes for i + d <= n-k-2, so the n-k-t rows theta^(-d)(y), d < n-k-t,
+lie in the left kernel of A.  The entries of y are K-independent: after a
+change of basis over K, which theta fixes, a K-relation among them would
+leave a nonzero vector in the kernel of the invertible Moore matrix of
+n-k-1 of the h.  So these rows are independent (Augot-Loidreau-Robert) and
+span the left kernel.  Multiplied by them, S v = A q becomes B v = 0 with
+
+    B_di = sum_j theta^(-d)(y_j) theta^i(s_j) = theta^(-d)(c_(i+d)),
+    c_e = sum_j y_j theta^e(s_j) for e < n-k.
+
+So each decode forms the n-k sums c_e and solves one kernel of the
 (n-k-t)-by-(t+1) matrix B over L, in place of the (n-k)-by-(2t+1) matrix
 [-A | S] on (q, v).  At n-k = 2t, B is t-by-(t+1), the size of a
-Peterson-type key equation.
+Peterson-type key equation.  For v in the kernel of B, S v lies in the
+column space of A and q is unique.  The top t rows of A are the
+theta-Moore block of the K-independent h_0, ..., h_(t-1), so A_top is
+invertible and q = A_top^-1 (S v)_top.
 
-The decoder builds neither q, Q nor N.  As q_l = sum_j E_top[l][j] (S v)_j,
-Q = sum_j (S v)_j Q_j for the per-code Q_j = sum_l E_top[l][j] x^l, and a
-scalar on the left of Q passes to the left of Q * P, so
-N = Q * P = sum_(j in R) (S v)_j (Q_j * P), where R holds the columns in
-which E_top is nonzero.  So N_s = sum_(j in R) W_(s,j) (S v)_j, where
-column j of W holds the coefficients of the skew product Q_j * P.  W and R
-depend only on the code (``GabCode.numerator_table``).  The left division
+The sums c_e are read through one integer table per code
+(``GabCode.syndrome_table``).  The map s -> c_e is Q-linear, and theta^e
+maps a power-basis vector b to a root of unity times a basis vector, so
+the column of b in s_j, y_j theta^e(b), is y_j's numerators moved, with no
+product (``Tower._twist_table``).  A decode reads each numerator of each
+c_e as one integer dot with the syndrome's numerators and ends each c_e in
+one gcd (``Tower._table_sums``).  The sum is canonical, so it equals the
+fused sum of products bit for bit.  At the default points, the basis
+vectors, y is sparse (on ``kummer:12`` at k = 4, 3% of the table is
+nonzero), and a row of the table keeps only its nonzero entries.  The
+decoder takes theta-iterates only of s_0, ..., s_(t-1), the entries that
+(S v)_top reads.
+
+The decoder builds neither q, Q nor N.  As
+q_l = sum_(j<t) A_top^-1[l][j] (S v)_j, Q = sum_(j<t) (S v)_j Q_j for the
+per-code Q_j = sum_l A_top^-1[l][j] x^l, and a scalar on the left of Q
+passes to the left of Q * P, so N = Q * P = sum_(j<t) (S v)_j (Q_j * P).
+So N_s = sum_(j<t) W_(s,j) (S v)_j, where column j of W holds the
+coefficients of the skew product Q_j * P.  W depends only on the code
+(``GabCode.numerator_table``).  The left division
 takes each N_s as its list of products W_(s,j) (S v)_j, appends the
 products its steps subtract, and sums a coefficient once, when it reads it
 (``skew_poly``).
 
 The reduction keeps the decoded vector bit for bit.  The decoder takes v
 from the first free column of B, and this is the V part of the vector
-that the first free column of [-A | S] gives.  A reduced row echelon form
-is unique, so rref([-A | S]) is rref of the row-equivalent
-E [-A | S] = [[-I_t, E_top S], [0, B]].  That reduction leaves the first t
+that the first free column of [-A | S] gives.  Let E hold the t rows of
+[A_top^-1 | 0] above the rows theta^(-d)(y).  Then E A = (I_t; 0), and E
+is invertible: in a combination of its rows that vanishes, the product
+with A shows the top coefficients zero, and the other rows are
+independent.  A reduced row echelon form is unique, so rref([-A | S]) is
+rref of the row-equivalent E [-A | S] = [[-I_t, A_top^-1 S_top], [0, B]],
+where S_top holds the first t rows of S.  That reduction leaves the first t
 rows pivoting on the Q columns and reduces the rest to rref(B), so the
 free columns are those of B and the V part of each kernel vector is built
 from rref(B) alone.  The q of a given v is unique, as A has full column
@@ -85,10 +118,10 @@ H e = H w = s, because f(g) is a codeword.
 
 The code is the measurement operator: every record is measured and
 recovered under one code.  So what depends only on the code is computed
-once per ``GabCode``, on first use, and kept on the instance: P, the
-reduction E of the h block above, the numerator table (R, W), and the
-points' text forms for ``code_to_descriptor``.  ``build_code`` computes
-none of them, so a code that only measures never pays for P, E and W.
+once per ``GabCode``, on first use, and kept on the instance: P, y and
+A_top^-1, the syndrome table, the numerator table W, and the points' text
+forms for ``code_to_descriptor``.  ``build_code`` computes none of them,
+so a code that only measures never pays for P, y, A_top^-1 or the tables.
 """
 
 from __future__ import annotations
@@ -119,8 +152,9 @@ class GabCode:
     """Immutable code instance; build with :func:`build_code`.
 
     The cached properties hold values that depend only on the code:
-    ``annihilator`` (P), ``key_reduction`` (E_top and E_bottom),
-    ``numerator_table`` (R and W, from P and E_top) and ``point_texts``.
+    ``annihilator`` (P), ``key_reduction`` (y and A_top^-1),
+    ``syndrome_table`` (the sums c_e, from y), ``numerator_table`` (W, from
+    P and A_top^-1) and ``point_texts``.
     Each is computed on first use and kept in the instance ``__dict__``,
     outside the dataclass fields, so equality and ``dataclasses.replace``
     ignore them.
@@ -151,40 +185,51 @@ class GabCode:
         return msp(self.tower, self.points[: self.k])
 
     @functools.cached_property
-    def key_reduction(self) -> tuple[tuple[tuple[_Element, ...], ...], ...]:
-        """(E_top, E_bottom): the right block E of rref([A | I_(n-k)]), cut after t rows.
+    def key_reduction(self) -> tuple[tuple[_Element, ...], tuple[tuple[_Element, ...], ...]]:
+        """(y, A_top^-1), which reduce S v = A q to B v = 0 and q = A_top^-1 (S v)_top.
 
-        A is the (n-k)-by-t block theta^i(h_j), h_j = P(g_(k+j)), with full
-        column rank t, so E_top A = I_t and E_bottom A = 0.  Each row holds
-        one coefficient per syndrome row j.
+        With h_j = P(g_(k+j)), y is the first row of ``right_kernel`` of the
+        (n-k-1)-by-(n-k) matrix theta^e(h_j), so sum_j y_j theta^e(h_j) = 0
+        for e <= n-k-2; it is empty at n = k.  A_top^-1 is the inverse of the
+        t-by-t block theta^i(h_j), j < t, one row per coefficient of q.
         """
-        t, r = self.radius, self.n - self.k
+        tower, t, r = self.tower, self.radius, self.n - self.k
         h = [self.annihilator.evaluate(g) for g in self.points[self.k :]]
-        h_block = theta_matrix(self.tower, h, t)
-        identity = Matrix.identity(self.tower, r).entries
-        rows = [[*h_block.column(j), *identity[j]] for j in range(r)]
-        reduced, _, pivots = rref(Matrix(self.tower, rows, cols=t + r))
-        if pivots[:t] != list(range(t)):
+        y = right_kernel(theta_matrix(tower, h, r - 1)).entries[0] if r else ()
+        top = theta_matrix(tower, h[:t], t)
+        identity = Matrix.identity(tower, t).entries
+        rows = [[*top.column(j), *identity[j]] for j in range(t)]
+        reduced, _, pivots = rref(Matrix(tower, rows, cols=2 * t))
+        if pivots != list(range(t)):
             raise AssertionError("the h block of the interpolation system has rank below t")
-        block = tuple(row[t:] for row in reduced.entries)
-        return block[:t], block[t:]
+        return y, tuple(row[t:] for row in reduced.entries)
 
     @functools.cached_property
-    def numerator_table(self) -> tuple[tuple[int, ...], tuple[tuple[_Element, ...], ...]]:
-        """(R, W): the decoder's numerator N = Q * P as sums over S v.
+    def syndrome_table(self) -> tuple:
+        """The integer table of c_e = sum_j y_j theta^e(s_j), one block per e < n-k.
 
-        R holds the columns j of E_top with a nonzero entry, so q = E_top S v
-        reads only the entries (S v)_j with j in R.  Column j of W is the
-        skew product Q_j * P with Q_j = sum_l E_top[l][j] x^l, so
-        N_s = sum_(j in R) W_(s,j) (S v)_j.  Row s of W, for s < k + t,
-        holds coefficient s of each column's product; at t = 0, R is
-        empty and W has k empty rows.
+        It is ``Tower._twist_table`` of the y_j with shift e for every j in
+        block e, so that ``Tower._table_sums`` reads each c_e off the
+        syndrome's numerators by integer dots.
+        """
+        y = self.key_reduction[0]
+        return self.tower._twist_table(y, [(e,) * len(y) for e in range(len(y))])
+
+    @functools.cached_property
+    def numerator_table(self) -> tuple[tuple[_Element, ...], ...]:
+        """W: the decoder's numerator N = Q * P as sums over (S v)_j, j < t.
+
+        q = A_top^-1 (S v)_top, so column j of W is the skew product Q_j * P
+        with Q_j = sum_l A_top^-1[l][j] x^l, and N_s = sum_(j<t) W_(s,j) (S v)_j.
+        Row s of W, for s < k + t, holds coefficient s of each column's
+        product; at t = 0 W has k empty rows.
         """
         tower, t, k = self.tower, self.radius, self.k
-        e_top = self.key_reduction[0]
-        read = tuple(j for j in range(self.n - k) if any(row[j] for row in e_top))
-        columns = [SkewPoly(tower, [row[j] for row in e_top]) * self.annihilator for j in read]
-        return read, tuple(tuple(c.coeff(s) for c in columns) for s in range(k + t))
+        inverse = self.key_reduction[1]
+        columns = [
+            SkewPoly(tower, [row[j] for row in inverse]) * self.annihilator for j in range(t)
+        ]
+        return tuple(tuple(c.coeff(s) for c in columns) for s in range(k + t))
 
     @functools.cached_property
     def point_texts(self) -> tuple[str, ...]:
@@ -270,19 +315,21 @@ def syndrome_decode(code: GabCode, syndrome: Sequence) -> DecodeResult:
     """
     tower, t, k = code.tower, code.radius, code.k
     syndrome = _coerce_word(code, syndrome, code.n - k)
-    # interpolate V(s_j) = Q(h_j): S v = A q with S_ji = theta^i(s_j); E turns
-    # it into B v = 0, B = E_bottom S, and q = E_top S v (module docstring)
-    e_bottom = code.key_reduction[1]
-    s_block = theta_matrix(tower, syndrome, t + 1).entries  # row i: theta^i(s)
-    b = [[_dot(tower, zip(row, s_i)) for s_i in s_block] for row in e_bottom]
+    # interpolate V(s_j) = Q(h_j): S v = A q with S_ji = theta^i(s_j).  The
+    # rows theta^(-d)(y) span the left kernel of A, so S v = A q turns into
+    # B v = 0 with B_di = theta^(-d)(c_(i+d)), c_e = sum_j y_j theta^e(s_j)
+    # (module docstring), each c_e one table sum (GabCode.syndrome_table)
+    sums = tower._table_sums(code.syndrome_table, syndrome)
+    b = [[sums[i + d].theta(-d) for i in range(t + 1)] for d in range(code.n - k - t)]
     v = first_kernel_vector(Matrix(tower, b, cols=t + 1))
     if v is None:
         return DecodeResult(success=False, reason="no_kernel")
-    # the numerator N = Q * P, q = E_top S v, as the sums N_s of W_(s,j) (S v)_j
-    # over j in R, divided before they are summed (GabCode.numerator_table)
-    read, table = code.numerator_table
-    sv = [_dot(tower, zip(v, (s_i[j] for s_i in s_block))) for j in read]
-    numerator = [list(zip(row, sv)) for row in table]
+    # the numerator N = Q * P, q = A_top^-1 (S v)_top, as the sums N_s of
+    # W_(s,j) (S v)_j over j < t, divided before they are summed
+    # (GabCode.numerator_table)
+    s_block = theta_matrix(tower, syndrome[:t], t + 1).entries  # row i: theta^i(s_j), j < t
+    sv = [_dot(tower, zip(v, column)) for column in zip(*s_block)]
+    numerator = [list(zip(row, sv)) for row in code.numerator_table]
     message, remainder = _left_divide_sums(numerator, SkewPoly(tower, v))
     if not remainder.is_zero():
         return DecodeResult(success=False, reason="remainder")

@@ -34,6 +34,7 @@ from gabrec import (
     rank,
     rank_weight,
     recover,
+    right_kernel,
     syndrome_decode,
     theta_matrix,
     wb_decode,
@@ -534,7 +535,7 @@ def test_decode_scale_instance():
     assert list(result.error) == e
 
 
-CACHED = ("annihilator", "key_reduction", "numerator_table", "point_texts")
+CACHED = ("annihilator", "key_reduction", "syndrome_table", "numerator_table", "point_texts")
 CACHE_TOWERS = [
     ("cyclotomic", 5),
     ("cyclotomic", 7),
@@ -554,16 +555,19 @@ def test_cached_code_constants_match_fresh_computation(params):
         p = msp(tower, points[:k])
         assert code.annihilator == p
         assert code.annihilator is code.annihilator
-        # E A = (I_t; 0) with E invertible, for A_ji = theta^i(h_j): any such
-        # E gives the decoder the same kernel vector and numerator
-        h_block = theta_matrix(tower, [p.evaluate(g) for g in points[k:]], t)
-        e_top, e_bottom = code.key_reduction
-        assert (len(e_top), len(e_bottom)) == (t, code.n - k - t)
-        assert [mul_vec(h_block, row) for row in e_top] == [
-            [tower.one if i == j else tower.zero for j in range(t)] for i in range(t)
-        ]
-        assert not any(x for row in e_bottom for x in mul_vec(h_block, row))
-        assert rank(Matrix(tower, e_top + e_bottom, cols=code.n - k)) == code.n - k
+        # y spans the kernel of the (n-k-1)-by-(n-k) Moore matrix theta^e(h_j),
+        # and A_top^-1 inverts the t-by-t block A_ji = theta^i(h_j), j < t
+        h = [p.evaluate(g) for g in points[k:]]
+        y, inverse = code.key_reduction
+        assert len(y) == code.n - k
+        assert any(y) or k == code.n
+        for e in range(code.n - k - 1):
+            assert not sum((y_j * h_j.theta(e) for y_j, h_j in zip(y, h)), tower.zero)
+        top = [[h_j.theta(i) for i in range(t)] for h_j in h[:t]]
+        assert [
+            [sum((row[j] * top[j][i] for j in range(t)), tower.zero) for i in range(t)]
+            for row in inverse
+        ] == [[tower.one if i == j else tower.zero for i in range(t)] for j in range(t)]
         values = [rand_element(tower, rng, 3) for _ in range(k)]
         poly = gabidulin._interpolate(code, values)
         assert poly.degree < k
@@ -587,32 +591,61 @@ def test_cached_code_constants_match_fresh_computation(params):
     ids=lambda p: ":".join(map(str, p)),
 )
 def test_numerator_table_regroups_the_product_with_p(params):
-    # W (S v)_R is the numerator the decoder divides: q = E_top S v and then
-    # the skew product Q * P, for any v and s.  W is built by the library's
-    # product, so the expected N is the term-by-term reference product.
+    # W (S v)_top is the numerator the decoder divides: q = A_top^-1 (S v)_top
+    # and then the skew product Q * P, for any v and s.  W is built by the
+    # library's product, so the expected N is the term-by-term reference product.
     tower = make_tower(*params)
     rng = random.Random(20)
     for k in range(1, tower.m + 1):
         code = build_code(tower, tower.m, k)
         t, r = code.radius, code.n - k
-        e_top = code.key_reduction[0]
-        read, table = code.numerator_table
-        assert read == tuple(j for j in range(r) if any(row[j] for row in e_top))
-        assert 0 not in read  # column 0 is the first pivot of E_bottom
-        assert len(table) == k + t and all(len(row) == len(read) for row in table)
+        inverse = code.key_reduction[1]
+        table = code.numerator_table
+        assert len(table) == k + t and all(len(row) == t for row in table)
         for _ in range(2):
             s_block = theta_matrix(tower, rand_vector(tower, rng, r, 3), t + 1).entries
             v = rand_vector(tower, rng, t + 1, 3)
             sv = [
-                sum((v_i * s_i[j] for v_i, s_i in zip(v, s_block)), tower.zero) for j in range(r)
+                sum((v_i * s_i[j] for v_i, s_i in zip(v, s_block)), tower.zero) for j in range(t)
             ]
-            q = [sum((e * x for e, x in zip(row, sv)), tower.zero) for row in e_top]
+            q = [sum((e * x for e, x in zip(row, sv)), tower.zero) for row in inverse]
             expected = reference_skew_mul(SkewPoly(tower, q), code.annihilator)
-            numerator = [
-                sum((w * sv[j] for w, j in zip(row, read)), tower.zero) for row in table
-            ]
+            numerator = [sum((w * x for w, x in zip(row, sv)), tower.zero) for row in table]
             assert SkewPoly(tower, numerator) == expected, k
             assert expected.degree < k + t
+
+
+@pytest.mark.parametrize("params", CACHE_TOWERS, ids=lambda p: ":".join(map(str, p)))
+def test_key_matrix_has_the_row_space_of_the_reduced_system(params, monkeypatch):
+    # The decoder's B_di = theta^(-d)(c_(i+d)) and E_bottom S, for any E_bottom
+    # whose rows span the left kernel of A_ji = theta^i(h_j), have one row
+    # space, so they have one kernel
+    matrices = []
+    kernel = gabidulin.first_kernel_vector
+
+    def spy(matrix):
+        matrices.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(gabidulin, "first_kernel_vector", spy)
+    tower = make_tower(*params)
+    rng = random.Random(21)
+    for k in range(1, tower.m + 1):
+        code = build_code(tower, tower.m, k)
+        t, r = code.radius, code.n - k
+        h = [code.annihilator.evaluate(g) for g in code.points[k:]]
+        e_bottom = right_kernel(theta_matrix(tower, h, t)).entries
+        assert len(e_bottom) == r - t
+        for _ in range(2):
+            s = rand_vector(tower, rng, r, 3)
+            s_block = theta_matrix(tower, s, t + 1).entries
+            reference = [[sum((z * x for z, x in zip(row, s_i)), tower.zero) for s_i in s_block]
+                         for row in e_bottom]
+            syndrome_decode(code, s)
+            b = matrices[-1]
+            assert b.shape == (r - t, t + 1)
+            stacked = Matrix(tower, [*b.entries, *reference], cols=t + 1)
+            assert rank(stacked) == rank(b) == rank(Matrix(tower, reference, cols=t + 1))
 
 
 def test_descriptor_is_isolated_from_caller_mutation(code5, code_k4):
