@@ -31,32 +31,33 @@ K-element per row), serves the coordinate matrices, the text format and the
 measurement records and takes no part in the arithmetic.
 
 One implementation, ``_Element``, holds every operator; what differs between
-fields is a hook on the handle.  Sums and differences add numerators over the
-shared denominator, or cross-multiply, and end in one gcd.  Each handle has
-one convolution, which adds the product of two numerator vectors into a
-buffer.  In Q(zeta_n) it is 1-D, the factor with more zeros in the outer
-loop, and the buffer folds degrees from n down by zeta^n = 1 and reduces the
-rest by the monic integer cyclotomic polynomial.  In the Kummer L it is 2-D
-over the nonzero numerators, the rows fold by alpha^n = radicand and reduce
-by Phi_n, and den gains the radicand's denominator.  A product convolves
-into a fresh buffer, reduces it and ends in one gcd.  A sum of products, the
-decoder's inner loop, is written once for every handle: every convolution,
-scaled to the lcm of the products' denominators, lands in one buffer, which
-reduces once and ends in one gcd.  The reduction is linear and the canonical
-form unique, so the sum equals the sum of the canonical products, bit for
-bit.  A scalar operand, rational or in K, is embedded as an element of the
-field, in its first coordinate, and then added or multiplied as one.  One
-exponent map, zeta^e -> zeta^(u e + s) for u prime to n, gives the Galois
-action sigma_u (s = 0; theta of the cyclotomic tower is sigma_g),
-``zeta(e)``, and the Kummer theta^j, which shifts row i by i j.  It needs
-no gcd: sigma_u and the product with the unit zeta^s map the lattice
-Z[zeta], whose Z-basis is the power basis, onto itself.  The same moves
-build a tower's twist table, the integer matrix of
-x -> sum_j c_j theta^(s_j)(x_j) for constants c_j: theta^s maps a
-power-basis vector to a root of unity times a basis vector, so each column
-is a c_j moved, with no product.  A sum through it is one integer dot per
-numerator over the lcm of the x_j's denominators and one gcd, canonical
-like the fused sum of products.
+fields is a hook on the handle.  A sum adds numerators over the shared
+denominator, or cross-multiplies, and ends in one gcd; a difference is the
+sum with the negation.  Each handle has one convolution, which adds the
+product of two numerator vectors into a buffer.  In Q(zeta_n) it is 1-D,
+the factor with more zeros in the outer loop, and the buffer folds degrees
+from n down by zeta^n = 1 and reduces the rest by the monic integer
+cyclotomic polynomial.  In the Kummer L it is 2-D over the nonzero
+numerators, the rows fold by alpha^n = radicand and reduce by Phi_n, and
+den gains the radicand's denominator.  A product (``_mul_nums``) convolves
+into a fresh buffer and reduces it, and the element ends in one gcd.  A sum
+of products, the decoder's inner loop, is written once for every handle:
+every convolution, scaled to the lcm of the products' denominators, lands
+in one buffer, which reduces once and ends in one gcd.  The reduction is
+linear and the canonical form unique, so the sum equals the sum of the
+canonical products, bit for bit.  A scalar operand, rational or in K, is
+embedded as an element of the field, in its first coordinate, and then
+added or multiplied as one.  One exponent map, zeta^e -> zeta^(u e + s) for
+u prime to n, gives the Galois action sigma_u (s = 0; theta of the
+cyclotomic tower is sigma_g), ``zeta(e)``, and the Kummer theta^j, which
+shifts row i by i j.  It needs no gcd: sigma_u and the product with the
+unit zeta^s map the lattice Z[zeta], whose Z-basis is the power basis, onto
+itself.  The same moves build a tower's twist table, the integer matrix of
+the maps x -> sum_j c_j theta^e(x_j), e < count, for constants c_j:
+theta^e maps a power-basis vector to a root of unity times a basis vector,
+so each column is a c_j moved, with no product.  A sum through it is one
+integer dot per numerator over the lcm of the x_j's denominators and one
+gcd, canonical like the fused sum of products.
 
 The inverse comes from the norm: x^-1 is the product P of the other Galois
 conjugates of x divided by N(x), the product of all of them, taken on the
@@ -331,28 +332,22 @@ class _Element:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            return self._canonical(self.field, da, [a - b for a, b in zip(self.nums, other.nums)])
-        return self._canonical(
-            self.field, da * db, [a * db - b * da for a, b in zip(self.nums, other.nums)]
-        )
+        return self + -other
 
     def __rsub__(self, other):
         other = self._match(other)
         return other if other is NotImplemented else other - self
 
     def __neg__(self):
-        return type(self)(self.field, self.den, tuple(-x for x in self.nums))
+        return type(self)(self.field, self.den, tuple(map(operator.neg, self.nums)))
 
     def __mul__(self, other):
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
         field = self.field
-        buf = [0] * field._buffer_size
-        field._convolve(buf, self.nums, other.nums)
-        return self._canonical(field, self.den * other.den * field._q, field._reduce(buf))
+        nums = field._mul_nums(self.nums, other.nums)
+        return self._canonical(field, self.den * other.den * field._q, nums)
 
     __rmul__ = __mul__
 
@@ -458,14 +453,16 @@ class _CoordinateField:
     integers), ``_reduce`` (the buffer as numerators) and ``_q`` (the
     denominator a product leaves); ``_product_and_norm`` (P and N together)
     and ``_divide_by_norm`` for the inverse; and on a tower ``_theta_nums``
-    and ``_twist_columns`` (the columns of x -> c theta^s(x), moved out of
-    c's numerators).  Over ``_convolve``, ``_reduce`` and ``_q`` the handle
-    implements, once for every field, ``_mul_nums`` (a product of
-    numerators) and ``_sum_products`` (a sum of products reduced once, for
+    and ``_twist_columns(nums, count)`` (the columns of x -> c theta^s(x)
+    for each s < count, moved out of c's numerators).  Over ``_convolve``,
+    ``_reduce`` and ``_q`` the handle implements, once for every field,
+    ``_mul_nums`` (a product of numerators, for ``__mul__`` and the
+    inverse) and ``_sum_products`` (a sum of products reduced once, for
     ``exact_linalg._dot``); over ``_twist_columns`` a tower implements
-    ``_twist_table`` (the integer matrix of x -> sum_j c_j theta^(s_j)(x_j)
-    for per-code constants c_j) and ``_table_sums`` (its sums, for the
-    decoder's key equation).
+    ``_twist_table(constants, count)`` (the integer matrix of
+    x -> sum_j c_j theta^e(x_j), one block per e < count, for per-code
+    constants c_j) and ``_table_sums`` (its sums, for the decoder's key
+    equation).
     """
 
     _element: type
@@ -700,24 +697,19 @@ class Tower(_CoordinateField):
                 z = mul(z, factor)
         return product, z
 
-    def _twist_table(self, constants: Sequence[_Element], shifts: Sequence[Sequence[int]]) -> tuple:
-        # (den, rows): the integer matrix of x -> sum_j c_j theta^(s_j)(x_j),
-        # one block of rows per tuple s in shifts, over the lcm of the c_j's
-        # denominators times _q.  Column (j, i) of a block holds the numerators
-        # of c_j theta^(s_j)(b_i) for the basis vector b_i, which
-        # ``_twist_columns`` moves out of c_j's, with no product, as pairs
-        # (row, value) of its nonzero entries.  A row keeps only its nonzero
-        # entries, as the column indices and the values
+    def _twist_table(self, constants: Sequence[_Element], count: int) -> tuple:
+        # (den, rows): the integer matrix of x -> sum_j c_j theta^e(x_j), one
+        # block of rows per e < count, over the lcm of the c_j's denominators
+        # times _q.  Column (j, i) of block e holds the numerators of
+        # c_j theta^e(b_i) for the basis vector b_i, which ``_twist_columns``
+        # moves out of c_j's, with no product, as pairs (row, value) of its
+        # nonzero entries.  A row keeps only its nonzero entries, as the
+        # column indices and the values
         den = math.lcm(*(c.den for c in constants))
-        per_constant = [
-            self._twist_columns(
-                c.nums if c.den == den else [den // c.den * x for x in c.nums],
-                [s[j] for s in shifts],
-            )
-            for j, c in enumerate(constants)
-        ]
+        scaled = (c.nums if c.den == den else [den // c.den * x for x in c.nums] for c in constants)
+        per_constant = [self._twist_columns(nums, count) for nums in scaled]
         size, rows = self._width * self.m, []
-        for b in range(len(shifts)):
+        for b in range(count):
             indices, values = [[] for _ in range(size)], [[] for _ in range(size)]
             columns = itertools.chain.from_iterable(twists[b] for twists in per_constant)
             for i, column in enumerate(columns):
@@ -769,12 +761,12 @@ class CyclotomicTower(Tower, CyclotomicField):
         # theta^j = sigma_(g^j)
         return self._move(nums, pow(self.primitive_root, j % self.m, self.conductor))
 
-    def _twist_columns(self, nums: Sequence[int], shifts: Sequence[int]) -> list[list[tuple]]:
-        # per shift s, column e of x -> c theta^s(x): c zeta^(u e), u = g^s,
+    def _twist_columns(self, nums: Sequence[int], count: int) -> list[list[tuple]]:
+        # per s < count, column e of x -> c theta^s(x): c zeta^(u e), u = g^s,
         # one of the p moves of c's numerators
         p = self.conductor
         moved = [_nonzero(self._move(nums, 1, w)) for w in range(p)]
-        units = [pow(self.primitive_root, s % self.m, p) for s in shifts]
+        units = [pow(self.primitive_root, s, p) for s in range(count)]
         return [[moved[u * e % p] for e in range(self.m)] for u in units]
 
 
@@ -881,8 +873,8 @@ class KummerTower(Tower):
         scale = self.embed_scalar(CyclotomicElement(self.scalar_field, 1, norm[:d]).inverse())
         return scale.den * self._q, self._mul_nums(product, scale.nums)
 
-    def _twist_columns(self, nums: Sequence[int], shifts: Sequence[int]) -> list[list[tuple]]:
-        # per shift s, column i d + e of x -> c theta^s(x): c zeta^w alpha^i
+    def _twist_columns(self, nums: Sequence[int], count: int) -> list[list[tuple]]:
+        # per s < count, column i d + e of x -> c theta^s(x): c zeta^w alpha^i
         # with w = e + i s, the rows of c moved by zeta^w and shifted up by i.
         # Rows past alpha^(n-1) wrap round by alpha^n = p / q, so the rows
         # that stay are taken times q, which _q adds to the table's den
@@ -899,7 +891,8 @@ class KummerTower(Tower):
                 for i in range(n)
             ])
         return [
-            [twists[(e + i * s) % n][i] for i in range(n) for e in range(d)] for s in shifts
+            [twists[(e + i * s) % n][i] for i in range(n) for e in range(d)]
+            for s in range(count)
         ]
 
     def _theta_nums(self, nums: Sequence[int], j: int) -> tuple[int, ...]:

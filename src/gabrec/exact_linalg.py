@@ -25,11 +25,11 @@ rows of tokens, which the command line's ``approx`` reads as decimal or
 complex numbers.
 
 ``_dot`` is the package's one sum of products of elements: the decoder's
-S v, its numerator table and each coefficient that its left division
-reads, ``encode``, the syndrome, the forward elimination and back
-substitution of ``first_kernel_vector``, ``SkewPoly.evaluate`` and each
-coefficient of ``SkewPoly.__mul__`` all call it.  The decoder's sums c_e of
-a per-code vector against the twisted syndrome go through a per-code
+numerator table and each coefficient that its left division reads,
+``encode``, the syndrome, the forward elimination and back substitution of
+``first_kernel_vector``, ``SkewPoly.evaluate`` (the decoder's S v) and
+each coefficient of ``SkewPoly.__mul__`` all call it.  The decoder's sums
+c_e of a per-code vector against the twisted syndrome go through a per-code
 integer table instead (``Tower._table_sums``), with the same canonical
 result.  It drops the pairs with a zero factor.  Two products or more go to the
 handle's ``_sum_products``, which works on numerators: every convolution
@@ -117,14 +117,15 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, list[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         # the pivot row is zero left of col, so only columns col onwards change;
-        # the pivot column becomes exactly one and zero without arithmetic
+        # the pivot column becomes exactly one and zero without arithmetic, and
+        # a row's factor is negated once, so each entry is a product and a sum
         inv = _invert(rows[r][col])
         pivot = rows[r][col + 1 :] = [v * inv for v in rows[r][col + 1 :]]
         rows[r][col] = one
         for i, row in enumerate(rows):
             if i != r and row[col]:
-                factor = row[col]
-                row[col + 1 :] = [a - factor * b for a, b in zip(row[col + 1 :], pivot)]
+                factor = -row[col]
+                row[col + 1 :] = [a + factor * b for a, b in zip(row[col + 1 :], pivot)]
                 row[col] = zero
         pivots.append(col)
         r += 1

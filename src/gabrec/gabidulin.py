@@ -54,7 +54,7 @@ So each decode forms the n-k sums c_e and solves one kernel of the
 Peterson-type key equation.  For v in the kernel of B, S v lies in the
 column space of A and q is unique.  The top t rows of A are the
 theta-Moore block of the K-independent h_0, ..., h_(t-1), so A_top is
-invertible and q = A_top^-1 (S v)_top.
+invertible.
 
 The sums c_e are read through one integer table per code
 (``GabCode.syndrome_table``).  The map s -> c_e is Q-linear, and theta^e
@@ -65,18 +65,17 @@ c_e as one integer dot with the syndrome's numerators and ends each c_e in
 one gcd (``Tower._table_sums``).  The sum is canonical, so it equals the
 fused sum of products bit for bit.  At the default points, the basis
 vectors, y is sparse (on ``kummer:12`` at k = 4, 3% of the table is
-nonzero), and a row of the table keeps only its nonzero entries.  The
-decoder takes theta-iterates only of s_0, ..., s_(t-1), the entries that
-(S v)_top reads.
+nonzero), and a row of the table keeps only its nonzero entries.
 
-The decoder builds neither q, Q nor N.  As
-q_l = sum_(j<t) A_top^-1[l][j] (S v)_j, Q = sum_(j<t) (S v)_j Q_j for the
-per-code Q_j = sum_l A_top^-1[l][j] x^l, and a scalar on the left of Q
-passes to the left of Q * P, so N = Q * P = sum_(j<t) (S v)_j (Q_j * P).
-So N_s = sum_(j<t) W_(s,j) (S v)_j, where column j of W holds the
-coefficients of the skew product Q_j * P.  W depends only on the code
-(``GabCode.numerator_table``).  The left division
-takes each N_s as its list of products W_(s,j) (S v)_j, appends the
+The decoder builds neither q, Q nor N.  Row j of S v = A q reads
+V(s_j) = Q(h_j), and the decoder evaluates V at s_0, ..., s_(t-1).  So
+Q = sum_(j<t) V(s_j) Q_j for the Lagrange polynomials Q_j of degree < t,
+Q_j(h_i) = 1 for i = j and 0 for the other i < t, which one ``rref`` of
+A_top beside t unit columns gives (``_moore_solve``).  A scalar on the
+left of Q passes to the left of Q * P, so N_s = sum_(j<t) W_(s,j) V(s_j),
+where column j of W holds the coefficients of the skew product Q_j * P.  W
+depends only on the code (``GabCode.numerator_table``).  The left division
+takes each N_s as its list of products W_(s,j) V(s_j), appends the
 products its steps subtract, and sums a coefficient once, when it reads it
 (``skew_poly``).
 
@@ -119,9 +118,9 @@ H e = H w = s, because f(g) is a codeword.
 The code is the measurement operator: every record is measured and
 recovered under one code.  So what depends only on the code is computed
 once per ``GabCode``, on first use, and kept on the instance: P, y and
-A_top^-1, the syndrome table, the numerator table W, and the points' text
+the Q_j, the syndrome table, the numerator table W, and the points' text
 forms for ``code_to_descriptor``.  ``build_code`` computes none of them,
-so a code that only measures never pays for P, y, A_top^-1 or the tables.
+so a code that only measures never pays for P, y, the Q_j or the tables.
 """
 
 from __future__ import annotations
@@ -152,9 +151,9 @@ class GabCode:
     """Immutable code instance; build with :func:`build_code`.
 
     The cached properties hold values that depend only on the code:
-    ``annihilator`` (P), ``key_reduction`` (y and A_top^-1),
-    ``syndrome_table`` (the sums c_e, from y), ``numerator_table`` (W, from
-    P and A_top^-1) and ``point_texts``.
+    ``annihilator`` (P), ``key_reduction`` (y and the Lagrange polynomials
+    Q_j), ``syndrome_table`` (the sums c_e, from y), ``numerator_table`` (W,
+    from P and the Q_j) and ``point_texts``.
     Each is computed on first use and kept in the instance ``__dict__``,
     outside the dataclass fields, so equality and ``dataclasses.replace``
     ignore them.
@@ -185,51 +184,42 @@ class GabCode:
         return msp(self.tower, self.points[: self.k])
 
     @functools.cached_property
-    def key_reduction(self) -> tuple[tuple[_Element, ...], tuple[tuple[_Element, ...], ...]]:
-        """(y, A_top^-1), which reduce S v = A q to B v = 0 and q = A_top^-1 (S v)_top.
+    def key_reduction(self) -> tuple[tuple[_Element, ...], list[tuple[_Element, ...]]]:
+        """(y, [Q_0, ..., Q_(t-1)]), which reduce S v = A q to B v = 0 and Q.
 
         With h_j = P(g_(k+j)), y is the first row of ``right_kernel`` of the
         (n-k-1)-by-(n-k) matrix theta^e(h_j), so sum_j y_j theta^e(h_j) = 0
-        for e <= n-k-2; it is empty at n = k.  A_top^-1 is the inverse of the
-        t-by-t block theta^i(h_j), j < t, one row per coefficient of q.
+        for e <= n-k-2; it is empty at n = k.  Q_j, of degree < t, has
+        Q_j(h_i) = 1 if i = j, else 0, for i < t.
         """
         tower, t, r = self.tower, self.radius, self.n - self.k
         h = [self.annihilator.evaluate(g) for g in self.points[self.k :]]
         y = right_kernel(theta_matrix(tower, h, r - 1)).entries[0] if r else ()
-        top = theta_matrix(tower, h[:t], t)
-        identity = Matrix.identity(tower, t).entries
-        rows = [[*top.column(j), *identity[j]] for j in range(t)]
-        reduced, _, pivots = rref(Matrix(tower, rows, cols=2 * t))
-        if pivots != list(range(t)):
-            raise AssertionError("the h block of the interpolation system has rank below t")
-        return y, tuple(row[t:] for row in reduced.entries)
+        units = Matrix.identity(tower, t).entries
+        return y, _moore_solve(tower, theta_matrix(tower, h[:t], t), units)
 
     @functools.cached_property
     def syndrome_table(self) -> tuple:
         """The integer table of c_e = sum_j y_j theta^e(s_j), one block per e < n-k.
 
-        It is ``Tower._twist_table`` of the y_j with shift e for every j in
-        block e, so that ``Tower._table_sums`` reads each c_e off the
-        syndrome's numerators by integer dots.
+        It is ``Tower._twist_table`` of the y_j with n-k blocks, so that
+        ``Tower._table_sums`` reads each c_e off the syndrome's numerators by
+        integer dots.
         """
         y = self.key_reduction[0]
-        return self.tower._twist_table(y, [(e,) * len(y) for e in range(len(y))])
+        return self.tower._twist_table(y, len(y))
 
     @functools.cached_property
     def numerator_table(self) -> tuple[tuple[_Element, ...], ...]:
         """W: the decoder's numerator N = Q * P as sums over (S v)_j, j < t.
 
-        q = A_top^-1 (S v)_top, so column j of W is the skew product Q_j * P
-        with Q_j = sum_l A_top^-1[l][j] x^l, and N_s = sum_(j<t) W_(s,j) (S v)_j.
-        Row s of W, for s < k + t, holds coefficient s of each column's
-        product; at t = 0 W has k empty rows.
+        Q = sum_(j<t) (S v)_j Q_j, so column j of W is the skew product
+        Q_j * P and N_s = sum_(j<t) W_(s,j) (S v)_j.  Row s of W, for
+        s < k + t, holds coefficient s of each column's product; at t = 0 W
+        has k empty rows.
         """
-        tower, t, k = self.tower, self.radius, self.k
-        inverse = self.key_reduction[1]
-        columns = [
-            SkewPoly(tower, [row[j] for row in inverse]) * self.annihilator for j in range(t)
-        ]
-        return tuple(tuple(c.coeff(s) for c in columns) for s in range(k + t))
+        columns = [SkewPoly(self.tower, q) * self.annihilator for q in self.key_reduction[1]]
+        return tuple(tuple(c.coeff(s) for c in columns) for s in range(self.k + self.radius))
 
     @functools.cached_property
     def point_texts(self) -> tuple[str, ...]:
@@ -324,13 +314,13 @@ def syndrome_decode(code: GabCode, syndrome: Sequence) -> DecodeResult:
     v = first_kernel_vector(Matrix(tower, b, cols=t + 1))
     if v is None:
         return DecodeResult(success=False, reason="no_kernel")
-    # the numerator N = Q * P, q = A_top^-1 (S v)_top, as the sums N_s of
-    # W_(s,j) (S v)_j over j < t, divided before they are summed
+    # the numerator N = Q * P, Q = sum_(j<t) V(s_j) Q_j, as the sums N_s of
+    # W_(s,j) V(s_j) over j < t, divided before they are summed
     # (GabCode.numerator_table)
-    s_block = theta_matrix(tower, syndrome[:t], t + 1).entries  # row i: theta^i(s_j), j < t
-    sv = [_dot(tower, zip(v, column)) for column in zip(*s_block)]
+    locator = SkewPoly(tower, v)
+    sv = [locator.evaluate(s) for s in syndrome[:t]]
     numerator = [list(zip(row, sv)) for row in code.numerator_table]
-    message, remainder = _left_divide_sums(numerator, SkewPoly(tower, v))
+    message, remainder = _left_divide_sums(numerator, locator)
     if not remainder.is_zero():
         return DecodeResult(success=False, reason="remainder")
     if message.degree >= k:
@@ -364,16 +354,24 @@ def wb_decode(code: GabCode, received: Sequence) -> DecodeResult:
 
 
 def _interpolate(code: GabCode, values: Sequence) -> SkewPoly:
-    """Polynomial of degree < k with the given values at the first k points.
+    """Polynomial of degree < k with the given values at the first k points."""
+    return SkewPoly(code.tower, _moore_solve(code.tower, code.generator, [values])[0])
 
-    Its coefficients f solve f G[:, :k] = values, one ``rref`` of the
-    k-by-(k+1) system.  The head block G[:, :k] is invertible: ``build_code``
-    certifies that G pivots on its first k columns.
+
+def _moore_solve(tower: Tower, moore: Matrix, columns: Sequence[Sequence]) -> list[tuple]:
+    """Per column c, the coefficients of the f of degree < d with f(p_j) = c_j, j < d.
+
+    ``moore`` has d rows, entry (i, j) = theta^i(p_j).  One ``rref`` of the
+    rows [theta^i(p_j) | c_j] solves every column; the Moore block of
+    K-independent points is invertible (Augot-Loidreau-Robert), and its
+    pivots are checked.
     """
-    k = code.k
-    rows = [[*code.generator.column(j), x] for j, x in enumerate(values)]
-    reduced = rref(Matrix(code.tower, rows, cols=k + 1))[0]
-    return SkewPoly(code.tower, [row[k] for row in reduced.entries])
+    d = moore.rows
+    rows = [[*moore.column(j), *(c[j] for c in columns)] for j in range(d)]
+    reduced, _, pivots = rref(Matrix(tower, rows, cols=d + len(columns)))
+    if pivots != list(range(d)):
+        raise AssertionError("the Moore matrix of the points has rank below its size")
+    return [tuple(row[d + l] for row in reduced.entries) for l in range(len(columns))]
 
 
 def code_to_descriptor(code: GabCode) -> dict:

@@ -137,22 +137,25 @@ MUTANTS = (
     Mutant("left_divide: read the remainder one coefficient too far", "skew_poly.py",
            "for pairs in sums[:dv]", "for pairs in sums[1 : dv + 1]", SKEW),
     Mutant("decode: Q = 0", "gabidulin.py",
-           "sv = [_dot(tower, zip(v, column)) for column in zip(*s_block)]",
-           "sv = [tower.zero for column in zip(*s_block)]", DECODE),
+           "sv = [locator.evaluate(s) for s in syndrome[:t]]",
+           "sv = [tower.zero for s in syndrome[:t]]", DECODE),
+    Mutant("decode: evaluate (S v)_j at s_(j+1)", "gabidulin.py",
+           "for s in syndrome[:t]]", "for s in syndrome[1 : t + 1]]", DECODE),
     Mutant("numerator table: take P * Q_j, not Q_j * P", "gabidulin.py",
-           "SkewPoly(tower, [row[j] for row in inverse]) * self.annihilator",
-           "self.annihilator * SkewPoly(tower, [row[j] for row in inverse])", DECODE),
+           "SkewPoly(self.tower, q) * self.annihilator",
+           "self.annihilator * SkewPoly(self.tower, q)",
+           DECODE),
     Mutant("numerator table: W one row short", "gabidulin.py",
-           "for s in range(k + t))", "for s in range(k + t - 1))", DECODE),
+           "for s in range(self.k + self.radius))", "for s in range(self.k + self.radius - 1))",
+           DECODE),
     Mutant("key matrix: twist row d by theta^d, not theta^(-d)", "gabidulin.py",
            "sums[i + d].theta(-d)", "sums[i + d].theta(d)", DECODE),
     Mutant("key matrix: read c_(i+d+1), not c_(i+d)", "gabidulin.py",
            "sums[i + d].theta(-d)", "sums[i + d + 1].theta(-d)", DECODE),
     Mutant("key reduction: take y from one Moore row too few", "gabidulin.py",
            "theta_matrix(tower, h, r - 1)", "theta_matrix(tower, h, r - 2)", DECODE),
-    Mutant("key reduction: take A_top from rows 1..t, not 0..t-1", "gabidulin.py",
-           "top = theta_matrix(tower, h[:t], t)", "top = theta_matrix(tower, h[1 : t + 1], t)",
-           DECODE),
+    Mutant("key reduction: take the Lagrange points h_1..h_t, not h_0..h_(t-1)", "gabidulin.py",
+           "theta_matrix(tower, h[:t], t)", "theta_matrix(tower, h[1 : t + 1], t)", DECODE),
     Mutant("decode: skip the terms with an exact-one factor in _dot", "exact_linalg.py",
            "for a, b in pairs if a and b]", "for a, b in pairs if a and b and a is not field.one]",
            DECODE),
@@ -168,8 +171,11 @@ MUTANTS = (
     Mutant("code: skip the identity-block check", "gabidulin.py",
            "if tuple(row[k:] for row in parity_check.entries) != identity:", "if False:",
            DECODE),
-    Mutant("key reduction: skip the pivot check", "gabidulin.py",
-           "if pivots != list(range(t)):", "if False:", DECODE),
+    Mutant("Moore solve: skip the pivot check", "gabidulin.py",
+           "if pivots != list(range(d)):", "if False:", DECODE),
+    Mutant("Moore solve: read each solution one column to the left", "gabidulin.py",
+           "row[d + l] for row in reduced.entries", "row[d + l - 1] for row in reduced.entries",
+           DECODE),
     Mutant("theta_matrix: start one iterate late", "rank_metric.py",
            "row = [tower.coerce(x) for x in vector]",
            "row = [tower.coerce(x).theta() for x in vector]", RANK),
@@ -179,6 +185,8 @@ MUTANTS = (
            "if not any(norm[:d]) or any(norm[d:]):", "if False:", ALGEBRA),
     Mutant("recover: skip the record length check", "lrmr.py",
            "if len(record.y) != m * r:", "if False:", RECORD),
+    Mutant("difference: add the subtrahend", "exact_algebra.py",
+           "return self + -other", "return self + other", ALGEBRA),
     Mutant("product: drop q from the denominator", "exact_algebra.py",
            "self.den * other.den * field._q", "self.den * other.den", ALGEBRA),
     Mutant("Kummer inverse: drop q from the norm division's denominator", "exact_algebra.py",
@@ -197,8 +205,8 @@ MUTANTS = (
     Mutant("code: skip the check that the points are independent over K", "gabidulin.py",
            "if rref(ext(tower, points))[1] != n:", "if False:",
            ("tests/test_gabidulin.py::test_build_rejects_bad_parameters",)),
-    Mutant("numerator table: leave the last column of A_top^-1 out of W", "gabidulin.py",
-           "* self.annihilator for j in range(t)\n", "* self.annihilator for j in range(t - 1)\n",
+    Mutant("numerator table: leave the last Lagrange polynomial out of W", "gabidulin.py",
+           "for q in self.key_reduction[1]]", "for q in self.key_reduction[1][:-1]]",
            ("tests/test_gabidulin.py::test_decode_rank_one_error",)),
     Mutant("syndrome table: leave the last syndrome out of the c_e", "gabidulin.py",
            "self.tower._twist_table(y, ", "self.tower._twist_table(y[:-1], ",
@@ -249,9 +257,7 @@ MUTANTS = (
            'exponent.replace("_", "").lstrip("+-")', 'exponent.lstrip("+-")',
            ("tests/test_exact_algebra.py::test_rational_text_bounds_the_exponent",)),
     Mutant("twist table: build a Q(zeta_p) column with shift s + 1", "exact_algebra.py",
-           "pow(self.primitive_root, s % self.m, p)",
-           "pow(self.primitive_root, (s + 1) % self.m, p)",
-           TWIST),
+           "pow(self.primitive_root, s, p)", "pow(self.primitive_root, s + 1, p)", TWIST),
     Mutant("twist table: build a Kummer column with shift s + 1", "exact_algebra.py",
            "twists[(e + i * s) % n][i]", "twists[(e + i * (s + 1)) % n][i]", TWIST),
     Mutant("twist table: wrap a Kummer row round by q, not p", "exact_algebra.py",

@@ -460,6 +460,24 @@ def test_key_reduction_rejects_a_rank_deficient_h_block(code5, monkeypatch):
         code.key_reduction
 
 
+def test_word_decode_rejects_a_singular_head_block(code5, code_k4):
+    # the head of a word is interpolated on G[:, :k]; a singular head block
+    # has no unique interpolant, so the decoder stops in place of returning
+    # a wrong message
+    rng = random.Random(22)
+    for code in (code5, code_k4):
+        tower = code.tower
+        columns = list(zip(*code.generator.entries))
+        columns[1] = columns[0]
+        singular = dataclasses.replace(
+            code, generator=Matrix(tower, list(zip(*columns)), cols=code.n)
+        )
+        word = encode(code, rand_message(code, rng, height=3))
+        assert any(word[: code.k])
+        with pytest.raises(AssertionError):
+            wb_decode(singular, word)
+
+
 def test_syndrome_length_validation(code5):
     with pytest.raises(ValueError):
         syndrome_decode(code5, [code5.tower.zero] * 3)
@@ -556,18 +574,20 @@ def test_cached_code_constants_match_fresh_computation(params):
         assert code.annihilator == p
         assert code.annihilator is code.annihilator
         # y spans the kernel of the (n-k-1)-by-(n-k) Moore matrix theta^e(h_j),
-        # and A_top^-1 inverts the t-by-t block A_ji = theta^i(h_j), j < t
+        # and Q_j, of degree < t, is the Lagrange polynomial on h_0, ..., h_(t-1)
         h = [p.evaluate(g) for g in points[k:]]
-        y, inverse = code.key_reduction
+        y, lagrange = code.key_reduction
         assert len(y) == code.n - k
         assert any(y) or k == code.n
         for e in range(code.n - k - 1):
             assert not sum((y_j * h_j.theta(e) for y_j, h_j in zip(y, h)), tower.zero)
-        top = [[h_j.theta(i) for i in range(t)] for h_j in h[:t]]
-        assert [
-            [sum((row[j] * top[j][i] for j in range(t)), tower.zero) for i in range(t)]
-            for row in inverse
-        ] == [[tower.one if i == j else tower.zero for i in range(t)] for j in range(t)]
+        assert len(lagrange) == t
+        for j, q in enumerate(lagrange):
+            poly = SkewPoly(tower, q)
+            assert len(q) == t and poly.degree < t
+            assert [poly.evaluate(h_i) for h_i in h[:t]] == [
+                tower.one if i == j else tower.zero for i in range(t)
+            ]
         values = [rand_element(tower, rng, 3) for _ in range(k)]
         poly = gabidulin._interpolate(code, values)
         assert poly.degree < k
@@ -591,7 +611,7 @@ def test_cached_code_constants_match_fresh_computation(params):
     ids=lambda p: ":".join(map(str, p)),
 )
 def test_numerator_table_regroups_the_product_with_p(params):
-    # W (S v)_top is the numerator the decoder divides: q = A_top^-1 (S v)_top
+    # W (S v)_top is the numerator the decoder divides: Q = sum_(j<t) (S v)_j Q_j
     # and then the skew product Q * P, for any v and s.  W is built by the
     # library's product, so the expected N is the term-by-term reference product.
     tower = make_tower(*params)
@@ -599,7 +619,7 @@ def test_numerator_table_regroups_the_product_with_p(params):
     for k in range(1, tower.m + 1):
         code = build_code(tower, tower.m, k)
         t, r = code.radius, code.n - k
-        inverse = code.key_reduction[1]
+        lagrange = code.key_reduction[1]
         table = code.numerator_table
         assert len(table) == k + t and all(len(row) == t for row in table)
         for _ in range(2):
@@ -608,7 +628,7 @@ def test_numerator_table_regroups_the_product_with_p(params):
             sv = [
                 sum((v_i * s_i[j] for v_i, s_i in zip(v, s_block)), tower.zero) for j in range(t)
             ]
-            q = [sum((e * x for e, x in zip(row, sv)), tower.zero) for row in inverse]
+            q = [sum((x * q_j[l] for x, q_j in zip(sv, lagrange)), tower.zero) for l in range(t)]
             expected = reference_skew_mul(SkewPoly(tower, q), code.annihilator)
             numerator = [sum((w * x for w, x in zip(row, sv)), tower.zero) for row in table]
             assert SkewPoly(tower, numerator) == expected, k
