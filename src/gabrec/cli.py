@@ -254,7 +254,7 @@ def _cmd_approx(args) -> int:
         rows, is_complex = _parse_float_matrix(handle.read())
     # --tower names the base field: Q for a cyclotomic tower, Q(zeta_n) for Kummer
     tower = tower_from_spec(args.tower) if args.tower else None
-    if tower is not None and tower.kind == "kummer":
+    if tower is not None and tower.scalar_field != QQ:
         result = approximate_complex(rows, args.epsilon, tower)
     elif is_complex:
         raise ValueError("complex input needs --tower kummer:n (with 4 | n)")

@@ -811,10 +811,6 @@ class KummerTower(Tower):
             if d != 2 and _is_rational_power(c, d):
                 raise ValueError(f"radicand {c} is a {d}-th power, extension collapses")
 
-    def imaginary_unit(self) -> CyclotomicElement:
-        """i as an element of K (K contains a primitive 4th root of unity)."""
-        return self.scalar_field.zeta(self.n // 4)
-
     def _coords(self, den: int, nums: Sequence[int]) -> tuple[CyclotomicElement, ...]:
         # each row of numerators over den, as a canonical K-element; the rows
         # are cut by one shared iterator

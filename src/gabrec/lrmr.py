@@ -6,10 +6,11 @@ produces exactly m*(n-k) base-field numbers.  Recovery inverts the fold and
 hands the syndrome to the bounded-minimum-distance decoder, so matrices of
 rank up to floor((n-k)/2) come back bit-exact.
 
-Approximation of real or complex floating matrices into the exact base
-field runs per entry through continued-fraction convergents, with the
-per-entry budget chosen so the Frobenius norm of the difference stays
-below the requested bound.
+Real and complex floating matrices enter the base field through one
+per-entry loop, decided by whether the base field contains i: one part per
+entry over Q, two (a + b*i) over Q(zeta_n) with 4 | n, each the first
+continued-fraction convergent within the per-part budget
+epsilon^2/(parts*m*n), so the Frobenius error stays below epsilon.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact_algebra import QQ, CyclotomicField, KummerTower, Tower
+from .exact_algebra import QQ, Tower
 from .exact_linalg import Matrix, rank
 from .gabidulin import GabCode, code_to_descriptor, syndrome_decode
 from .rank_metric import ext, ext_inv
@@ -138,12 +139,24 @@ def _first_convergent_within(x: Fraction, tol_sq: Fraction) -> Fraction:
     raise AssertionError("convergents terminate at the exact value")  # pragma: no cover
 
 
-def _exact_value(value) -> Fraction:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite entry {value!r}")
-        return Fraction(value)
-    return Fraction(value)
+def _parts(value, i_unit) -> tuple[Fraction, Fraction]:
+    # the exact (re, im) of an input number; ValueError for a non-finite
+    # part, or for an imaginary part where the base field has no i
+    re, im = (value.real, value.imag) if isinstance(value, complex) else (value, 0)
+    if any(isinstance(x, float) and not math.isfinite(x) for x in (re, im)):
+        raise ValueError(f"non-finite entry {value!r}")
+    if im and i_unit is None:
+        raise ValueError(f"{value!r} is not real and the base field has no i")
+    return Fraction(re), Fraction(im)
+
+
+def _imaginary_unit(field):
+    # None over Q; i = zeta^(n/4) in Q(zeta_n), which holds i exactly when 4 | n
+    if field == QQ:
+        return None
+    if getattr(field, "conductor", 1) % 4:
+        raise ValueError(f"{field!r} does not contain i")
+    return field.zeta(field.conductor // 4)
 
 
 def _shape_of(rows: Sequence[Sequence]) -> tuple[int, int]:
@@ -156,11 +169,20 @@ def _shape_of(rows: Sequence[Sequence]) -> tuple[int, int]:
     return m, n
 
 
-def _epsilon_sq(epsilon) -> Fraction:
-    eps = _exact_value(epsilon)
+def _approximate(rows: Sequence[Sequence], epsilon, field) -> Matrix:
+    i_unit = _imaginary_unit(field)
+    m, n = _shape_of(rows)
+    eps = _parts(epsilon, None)[0]
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    return eps * eps
+    parts = 1 if i_unit is None else 2
+    tol_sq = eps * eps / (parts * m * n)
+
+    def entry(value):
+        a, b = (_first_convergent_within(x, tol_sq) for x in _parts(value, i_unit))
+        return a if i_unit is None else field.coerce(a) + field.coerce(b) * i_unit
+
+    return Matrix(field, [[entry(value) for value in row] for row in rows], cols=n)
 
 
 def approximate_real(rows: Sequence[Sequence], epsilon) -> Matrix:
@@ -168,73 +190,53 @@ def approximate_real(rows: Sequence[Sequence], epsilon) -> Matrix:
 
     Each entry becomes the first continued-fraction convergent within the
     per-entry budget epsilon/sqrt(m*n); comparisons happen on squares, so
-    the guarantee is exact.
+    the guarantee is exact.  A complex entry is a ValueError.
     """
-    m, n = _shape_of(rows)
-    tol_sq = _epsilon_sq(epsilon) / (m * n)
-    out = [[_first_convergent_within(_exact_value(v), tol_sq) for v in row] for row in rows]
-    return Matrix(QQ, out, cols=n)
-
-
-def _complex_parts(value) -> tuple[Fraction, Fraction]:
-    if isinstance(value, complex):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"non-finite entry {value!r}")
-        return Fraction(value.real), Fraction(value.imag)
-    return _exact_value(value), Fraction(0)
+    return _approximate(rows, epsilon, QQ)
 
 
 def approximate_complex(rows: Sequence[Sequence], epsilon, tower: Tower) -> Matrix:
-    """Approximate a complex matrix inside the Kummer tower's base field.
+    """Approximate a complex matrix as a + b*i in a tower's base field, which must hold i.
 
-    Real and imaginary parts are approximated separately with per-part
-    budget epsilon/sqrt(2*m*n) and recombined as a + b*i with i the
-    primitive fourth root of unity of the base field.
+    Real and imaginary parts get the per-part budget epsilon/sqrt(2*m*n).
     """
-    if not isinstance(tower, KummerTower):
-        raise ValueError("complex approximation needs a Kummer tower (4 | n)")
-    m, n = _shape_of(rows)
-    tol_sq = _epsilon_sq(epsilon) / (2 * m * n)
-    base = tower.scalar_field
-    i_unit = tower.imaginary_unit()
-    out = []
-    for row in rows:
-        line = []
-        for value in row:
-            re, im = _complex_parts(value)
-            ca = _first_convergent_within(re, tol_sq)
-            cb = _first_convergent_within(im, tol_sq)
-            line.append(base.coerce(ca) + base.coerce(cb) * i_unit)
-        out.append(line)
-    return Matrix(base, out, cols=n)
+    if tower.scalar_field == QQ:
+        raise ValueError("complex approximation needs a base field that contains i (kummer:n)")
+    return _approximate(rows, epsilon, tower.scalar_field)
 
 
-def _gaussian_parts(field: CyclotomicField, element) -> tuple[Fraction, Fraction]:
-    # split elements of the span of 1 and i = zeta^(n/4) into a + b*i
-    i_coords = field.zeta(field.conductor // 4).coords
-    coords = field.coerce(element).coords
+def _gaussian_reader(field, i_unit):
+    # an element a + b*i of field as (a, b), with i's coordinates taken once
+    if i_unit is None:
+        return lambda x: (x, 0)
+    i_coords = i_unit.coords
     pivot = next(j for j in range(1, field.m) if i_coords[j])
-    b = coords[pivot] / i_coords[pivot]
-    for j in range(1, field.m):
-        if coords[j] != b * i_coords[j]:
+
+    def read(x):
+        b = x.coords[pivot] / i_coords[pivot]
+        if any(c != b * u for c, u in zip(x.coords[1:], i_coords[1:])):
             raise ValueError("element is not of the form a + b*i")
-    return coords[0] - b * i_coords[0], b
+        return x.coords[0] - b * i_coords[0], b
+
+    return read
 
 
 def frobenius_error_sq(approx: Matrix, original: Sequence[Sequence]) -> Fraction:
-    """Exact squared Frobenius distance between an approximation and its source."""
+    """Exact squared Frobenius distance between an approximation and its source.
+
+    ValueError over a field that is neither Q nor holds i, and for a complex
+    source entry against Q.
+    """
     m, n = _shape_of(original)
     if approx.shape != (m, n):
         raise ValueError(f"shape mismatch: {approx.shape} vs {(m, n)}")
+    i_unit = _imaginary_unit(approx.field)
+    read = _gaussian_reader(approx.field, i_unit)
     total = Fraction(0)
-    for i in range(m):
-        for j in range(n):
-            if isinstance(approx.field, CyclotomicField):
-                re, im = _complex_parts(original[i][j])
-                ca, cb = _gaussian_parts(approx.field, approx.entries[i][j])
-                total += (re - ca) ** 2 + (im - cb) ** 2
-            else:
-                total += (_exact_value(original[i][j]) - approx.entries[i][j]) ** 2
+    for source, row in zip(original, approx.entries):
+        for value, x in zip(source, row):
+            (re, im), (a, b) = _parts(value, i_unit), read(x)
+            total += (re - a) ** 2 + (im - b) ** 2
     return total
 
 

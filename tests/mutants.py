@@ -1,6 +1,7 @@
 """Mutation check of the decoder, the scalar and basis arithmetic under it,
 the checks that build codes and towers, the record check of ``recover``,
-and the loaders' checks of outside input, the reader of rationals included.
+the loaders' checks of outside input, the reader of rationals included,
+and the approximation of floating data into the base field.
 
     python3 tests/mutants.py
 
@@ -301,6 +302,15 @@ MUTANTS = (
            "product = factor", ALGEBRA),
     Mutant("norm chain: take each prime of m once", "exact_algebra.py",
            "while size % ell == 0:", "if size % ell == 0:", ALGEBRA),
+    Mutant("approximation: a per-part budget without its factor parts", "lrmr.py",
+           "eps * eps / (parts * m * n)", "eps * eps / (m * n)",
+           ("tests/test_lrmr.py::test_approximate_complex_budget_counts_both_parts",)),
+    Mutant("imaginary unit: skip the 4 | n check", "lrmr.py",
+           'if getattr(field, "conductor", 1) % 4:', "if False:",
+           ("tests/test_lrmr.py::test_frobenius_error_needs_a_field_with_i",)),
+    Mutant("Gaussian reader: read b from coordinate 1, not from i's", "lrmr.py",
+           "b = x.coords[pivot] / i_coords[pivot]", "b = x.coords[1] / i_coords[pivot]",
+           ("tests/test_lrmr.py::test_approximate_complex_on_kummer12",)),
     Mutant("msp: normalize only at the end", "skew_poly.py",
            "[-w.theta() * w.inverse(), tower.one]) * poly\n    return poly\n",
            "[-w.theta(), w]) * poly\n    return poly.coeffs[-1].inverse() * poly\n",

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import axpy, rand_poly, rand_scalar, zero_matrix
 from gabrec import (
     QQ,
+    CyclotomicField,
+    Matrix,
     approximate_complex,
     approximate_real,
     build_code,
@@ -141,23 +143,34 @@ def test_recover_cyclotomic23_at_radius_eight():
     assert recover(code, measure(code, matrix)) == matrix
 
 
-def test_recover_kummer8_radicand3():
-    # radicand 3 is no square in Q(zeta_8), so x^8 - 3 is irreducible over it;
-    # n = m = 8, k = 4, so t = 2
-    tower = make_tower("kummer", 8, 3)
-    code = build_code(tower, 8, 4)
+def _check_radicand3_roundtrip(n, k):
+    # n = m; a rank-t matrix recovers exactly, and a rank-(t+1) one either
+    # fails or reproduces its record with rank <= t
+    tower = make_tower("kummer", n, 3)
+    code = build_code(tower, n, k)
     assert code_from_descriptor(code_to_descriptor(code)) == code
     assert code_from_descriptor(code_to_descriptor(code)).tower.radicand == 3
     field = tower.scalar_field
     rng = random.Random(0)
-    within = random_low_rank(8, 8, 2, 10, rng=rng, field=field)
+    within = random_low_rank(n, n, code.radius, 10, rng=rng, field=field)
     assert recover(code, measure(code, within)) == within
-    beyond = random_low_rank(8, 8, 3, 10, rng=rng, field=field)
+    beyond = random_low_rank(n, n, code.radius + 1, 10, rng=rng, field=field)
     record = measure(code, beyond)
     result = recover(code, record)
     if result is not None:
         assert rank(result) <= code.radius
         assert measure(code, result).y == record.y
+
+
+def test_recover_kummer8_radicand3():
+    # radicand 3 is no square in Q(zeta_8), so x^8 - 3 is irreducible over it;
+    # k = 4, so t = 2
+    _check_radicand3_roundtrip(8, 4)
+
+
+def test_recover_kummer16_radicand3():
+    # nor in Q(zeta_16), whose only ramified prime is 2; k = 12, so t = 2
+    _check_radicand3_roundtrip(16, 12)
 
 
 def test_recover_fractional_radicand():
@@ -322,11 +335,13 @@ def test_approximate_real_rejects_bad_input():
         approximate_real([], 1e-3)
     with pytest.raises(ValueError):
         approximate_real([[1.0], [1.0, 2.0]], 1e-3)
+    with pytest.raises(ValueError):
+        approximate_real([[1j]], 1e-3)
 
 
 def test_approximate_complex_imaginary_unit(kummer4):
     out = approximate_complex([[1j]], 1e-6, kummer4)
-    assert out.entries[0][0] == kummer4.imaginary_unit()
+    assert out.entries[0][0] == kummer4.scalar_field.zeta()
     assert frobenius_error_sq(out, [[1j]]) == 0
 
 
@@ -350,6 +365,40 @@ def test_approximate_complex_norm_bound(kummer4):
         ]
         out = approximate_complex(rows, eps, kummer4)
         assert frobenius_error_sq(out, rows) < Fraction(eps) ** 2
+
+
+def test_approximate_complex_budget_counts_both_parts(kummer4):
+    # with eps^2 = 9/25, the convergent 0 of 1/2 misses by 1/4 per part: inside
+    # eps^2/(m n) but outside eps^2/(2 m n), and two such misses exceed eps^2
+    eps = Fraction(3, 5)
+    out = approximate_complex([[0.5 + 0.5j]], eps, kummer4)
+    half = kummer4.scalar_field.coerce(Fraction(1, 2))
+    assert out.entries[0][0] == half + half * kummer4.scalar_field.zeta()
+    assert frobenius_error_sq(out, [[0.5 + 0.5j]]) < eps**2
+
+
+def test_approximate_complex_on_kummer12():
+    # i = zeta_12^3 is the fourth basis vector of Q(zeta_12), not the second
+    tower = make_tower("kummer", 12)
+    field = tower.scalar_field
+    out = approximate_complex([[0.5 + 0.25j, -2j], [0.75, 1 / 3]], 1e-6, tower)
+    i = field.zeta(3)
+    assert out.entries[0][0] == field.coerce(Fraction(1, 2)) + field.coerce(Fraction(1, 4)) * i
+    assert out.entries[0][1] == field.coerce(-2) * i
+    assert out.entries[1][0] == field.coerce(Fraction(3, 4))
+    assert out.entries[1][1] == field.coerce(Fraction(1, 3))
+    error_sq = frobenius_error_sq(out, [[0.5 + 0.25j, -2j], [0.75, 1 / 3]])
+    assert error_sq == (Fraction(1 / 3) - Fraction(1, 3)) ** 2
+
+
+@pytest.mark.parametrize("conductor", [5, 6, None])
+def test_frobenius_error_needs_a_field_with_i(conductor):
+    # none of these fields holds i: zeta_5 and zeta_6 are no fourth roots of
+    # unity, and the only ones in Q are 1 and -1
+    field = QQ if conductor is None else CyclotomicField(conductor)
+    entry = field.one if conductor is None else field.zeta()
+    with pytest.raises(ValueError):
+        frobenius_error_sq(Matrix(field, [[entry]]), [[1j]])
 
 
 def test_approximate_complex_needs_kummer(zeta5):

@@ -37,7 +37,7 @@ def test_mul_twist_rule(kummer4):
     x = SkewPoly(kummer4, [kummer4.zero, kummer4.one])
     product = x * SkewPoly.constant(kummer4, alpha)
     assert product == SkewPoly(kummer4, [kummer4.zero, alpha.theta()])
-    assert alpha.theta() == kummer4.imaginary_unit() * alpha
+    assert alpha.theta() == kummer4.scalar_field.zeta() * alpha
 
 
 def test_mul_expansion_frozen(kummer4):
