@@ -31,9 +31,9 @@ K-element per row), serves the coordinate matrices, the text format and the
 measurement records and takes no part in the arithmetic.
 
 One implementation, ``_Element``, holds every operator; what differs between
-fields is a hook on the handle.  A sum adds numerators over the shared
-denominator, or cross-multiplies, and ends in one gcd; a difference is the
-sum with the negation.  Each handle has one convolution, which adds the
+fields is a hook on the handle.  A sum or a difference adds or subtracts
+numerators over the shared denominator, or cross-multiplies, and ends in
+one gcd.  Each handle has one convolution, which adds the
 product of two numerator vectors into a buffer.  In Q(zeta_n) it is 1-D,
 the factor with more zeros in the outer loop, and the buffer folds degrees
 from n down by zeta^n = 1 and reduces the rest by the monic integer
@@ -332,7 +332,12 @@ class _Element:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + -other
+        da, db = self.den, other.den
+        if da == db:
+            return self._canonical(self.field, da, [a - b for a, b in zip(self.nums, other.nums)])
+        return self._canonical(
+            self.field, da * db, [a * db - b * da for a, b in zip(self.nums, other.nums)]
+        )
 
     def __rsub__(self, other):
         other = self._match(other)
@@ -445,21 +450,23 @@ class _CoordinateField:
     construction parameters, is; ``_element`` is the class of their elements.
     Each subclass provides the hooks that :class:`_Element` and the handle
     call: ``_width`` numerators per coordinate; ``_numerators`` (scalars
-    as one denominator and its numerators, for ``from_coords``, and for
-    ``embed_scalar`` on a list of one, through which a scalar operand
-    enters every operator) and ``_coords`` (the reverse, the scalars of den
-    and numerators), each one call per vector; ``_convolve`` (adds the
-    product of two numerator vectors into a buffer of ``_buffer_size``
-    integers), ``_reduce`` (the buffer as numerators) and ``_q`` (the
-    denominator a product leaves); ``_product_and_norm`` (P and N together)
-    and ``_divide_by_norm`` for the inverse; and on a tower ``_theta_nums``
-    and ``_twist_columns(nums, count)`` (the columns of x -> c theta^s(x)
-    for each s < count, moved out of c's numerators).  Over ``_convolve``,
+    as one denominator and its numerators, for ``from_coords``, for
+    ``measure``'s whole matrix at once, and for ``embed_scalar`` on a list
+    of one, through which a scalar operand enters every operator) and
+    ``_coords`` (the reverse, the scalars of den and numerators), each one
+    call per vector; ``_convolve`` (adds the product of two numerator
+    vectors into a buffer of ``_buffer_size`` integers), ``_reduce`` (the
+    buffer as numerators) and ``_q`` (the denominator a product leaves);
+    ``_product_and_norm`` (P and N together) and ``_divide_by_norm`` for
+    the inverse; and on a tower ``_theta_nums`` and
+    ``_twist_columns(nums, count)`` (the columns of x -> c theta^s(x) for
+    each s < count, moved out of c's numerators).  Over ``_convolve``,
     ``_reduce`` and ``_q`` the handle implements, once for every field,
     ``_mul_nums`` (a product of numerators, for ``__mul__`` and the
     inverse) and ``_sum_products`` (a sum of products reduced once, for
-    ``exact_linalg._dot``); over ``_twist_columns`` a tower implements
-    ``_twist_table(constants, count)`` (the integer matrix of
+    ``exact_linalg._dot``), and ``gabidulin._syndrome_nums`` the syndrome
+    H word, one reduction per row of H; over ``_twist_columns`` a tower
+    implements ``_twist_table(constants, count)`` (the integer matrix of
     x -> sum_j c_j theta^e(x_j), one block per e < count, for per-code
     constants c_j) and ``_table_sums`` (its sums, for the decoder's key
     equation).
@@ -724,10 +731,7 @@ class Tower(_CoordinateField):
         # their lcm, and per output numerator one integer dot of a row's
         # values with the numerators it indexes; one gcd ends each sum
         den, rows = table
-        common = math.lcm(*(x.den for x in xs))
-        flat = []
-        for x in xs:
-            flat += x.nums if x.den == common else [common // x.den * v for v in x.nums]
+        common, flat = _common_nums(xs)
         get = flat.__getitem__
         nums = [sum(map(operator.mul, values, map(get, indices))) for indices, values in rows]
         size, canonical = self._width * self.m, self._element._canonical
@@ -820,9 +824,8 @@ class KummerTower(Tower):
     def _numerators(self, values: Sequence) -> tuple[int, tuple[int, ...]]:
         # K-elements over their least common denominator, canonical by the
         # argument of CyclotomicField._numerators
-        coords = list(map(self.scalar_field.coerce, values))
-        den = math.lcm(*(c.den for c in coords))
-        return den, tuple(x * (den // c.den) for c in coords for x in c.nums)
+        den, nums = _common_nums(list(map(self.scalar_field.coerce, values)))
+        return den, tuple(nums)
 
     def _convolve(self, buf: list[int], a: Sequence[int], b: Sequence[int]) -> None:
         # adds the 2-D convolution of numerator rows a, b into buf, rows of
@@ -900,6 +903,16 @@ class KummerTower(Tower):
             row = nums[i * d : (i + 1) * d]
             out += base._move(row, 1, i * j) if i * j % n else row
         return tuple(out)
+
+
+def _common_nums(xs: Sequence[_Element]) -> tuple[int, list[int]]:
+    # the numerators of the x_j, one after another, over the lcm of their
+    # denominators
+    common = math.lcm(*(x.den for x in xs))
+    flat = []
+    for x in xs:
+        flat += x.nums if x.den == common else [common // x.den * v for v in x.nums]
+    return common, flat
 
 
 def _nonzero(nums: Sequence[int]) -> list[tuple[int, int]]:

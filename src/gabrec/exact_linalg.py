@@ -26,12 +26,13 @@ complex numbers.
 
 ``_dot`` is the package's one sum of products of elements: the decoder's
 numerator table and each coefficient that its left division reads,
-``encode``, the syndrome, the forward elimination and back substitution of
+``encode``, the forward elimination and back substitution of
 ``first_kernel_vector``, ``SkewPoly.evaluate`` (the decoder's S v) and
 each coefficient of ``SkewPoly.__mul__`` all call it.  The decoder's sums
 c_e of a per-code vector against the twisted syndrome go through a per-code
-integer table instead (``Tower._table_sums``), with the same canonical
-result.  It drops the pairs with a zero factor.  Two products or more go to the
+integer table instead (``Tower._table_sums``), and the syndrome H word
+through ``gabidulin._syndrome_nums`` on the word's numerators, each with
+the same canonical result.  It drops the pairs with a zero factor.  Two products or more go to the
 handle's ``_sum_products``, which works on numerators: every convolution
 lands in one buffer over the lcm of the products' denominators, which
 reduces once and ends in one gcd; over QQ it is a plain ``Fraction`` sum.

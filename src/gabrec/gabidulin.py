@@ -10,11 +10,19 @@ H is systematic: its last n-k columns are the identity.  In a cyclic
 extension the k-by-k theta-Moore block of K-independent points is
 invertible (Augot-Loidreau-Robert, ISIT 2013), so the pivots of G are its
 first k columns and the kernel basis puts I_(n-k) on the free ones.  So
-``GabCode.syndrome``, which ``measure`` and ``wb_decode`` share, multiplies
-only the head: H r = r[k:] + H[:, :k] r[:k].  A syndrome s is its own
-preimage, H (0, ..., 0, s) = s, so the decoder takes s and decodes that
-word, with no linear solve; ``wb_decode`` reduces a received word r to its
-syndrome H r.  ``build_code`` checks the identity block.
+the syndrome multiplies only the head: H r = r[k:] + H[:, :k] r[:k].  One
+routine, ``_syndrome_nums``, computes it on integer numerators, for
+``measure`` and for ``GabCode.syndrome``, which ``wb_decode`` calls.  It
+takes the word's numerators over one denominator.  Per row of H, the
+products of the head entries with the word's head land in one buffer,
+which reduces once, and the tail entry joins it on numerators.
+``measure`` reads the matrix's entries as the word's numerators and each
+row's numerators as coordinates, so it builds no element of L;
+``GabCode.syndrome`` ends each row in one gcd, canonical like the sum of
+the products.  A syndrome s is its own preimage, H (0, ..., 0, s) = s, so
+the decoder takes s and decodes that word, with no linear solve;
+``wb_decode`` reduces a received word r to its syndrome H r.
+``build_code`` checks the identity block.
 
 Decoding interpolates a pair (V, N) with deg V <= t and deg N <= k-1+t
 such that V(r_i) = N(g_i) at every point, then extracts the message as the
@@ -126,10 +134,12 @@ so a code that only measures never pays for P, y, the Q_j or the tables.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .exact_algebra import QQ, Tower, _Element, make_tower
+from .exact_algebra import QQ, Tower, _Element, _common_nums, make_tower
 from .exact_linalg import Matrix, _dot, first_kernel_vector, right_kernel, rref
 from .rank_metric import ext, theta_matrix
 from .skew_poly import SkewPoly, _left_divide_sums, msp
@@ -226,13 +236,16 @@ class GabCode:
         return tuple(self.tower.to_text(g) for g in self.points)
 
     def syndrome(self, word: Sequence) -> list[_Element]:
-        """Parity-check image H word; H is the identity on its last n-k columns."""
-        word = _coerce_word(self, word, self.n)
-        head, tail = word[: self.k], word[self.k :]
-        return [
-            s + _dot(self.tower, zip(row, head))
-            for s, row in zip(tail, self.parity_check.entries)
-        ]
+        """Parity-check image H word; H is the identity on its last n-k columns.
+
+        The word's numerators, over the lcm of its denominators, go to
+        :func:`_syndrome_nums`, the routine ``measure`` also calls, and each
+        row ends in one gcd.
+        """
+        tower = self.tower
+        den, flat = _common_nums(_coerce_word(self, word, self.n))
+        canonical = tower._element._canonical
+        return [canonical(tower, d, nums) for d, nums in _syndrome_nums(self, den, flat)]
 
 
 @dataclass(frozen=True)
@@ -263,7 +276,7 @@ def build_code(tower: Tower, n: int, k: int, points: Sequence | None = None) -> 
         raise ValueError("evaluation points are linearly dependent over the base field")
     generator = theta_matrix(tower, points, k)
     parity_check = right_kernel(generator)
-    # GabCode.syndrome multiplies only the head, and syndrome_decode takes
+    # _syndrome_nums multiplies only the head, and syndrome_decode takes
     # (0, ..., 0, s) as the preimage of s: both need H[:, k:] = I
     identity = Matrix.identity(tower, n - k).entries
     if tuple(row[k:] for row in parity_check.entries) != identity:
@@ -280,6 +293,37 @@ def encode(code: GabCode, message: SkewPoly) -> list[_Element]:
     return [
         _dot(code.tower, zip(message.coeffs, column)) for column in zip(*code.generator.entries)
     ]
+
+
+def _syndrome_nums(code: GabCode, den: int, flat: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """H word on numerators: per row of H, a denominator and its numerators.
+
+    ``flat`` holds the numerators of the word's entries, one after another,
+    over the one denominator ``den``.  Row i of H is the identity on the
+    tail, so its entry is x_(k+i) + sum_(j<k) H_ij x_j.  The row's nonzero
+    head entries, over the lcm e of their denominators, convolve with the
+    nonzero head columns into one buffer, which reduces once and leaves
+    the factor q = ``_q``; the tail column's numerators join it times e q,
+    over den e q.  The result is not canonical: ``measure`` reads it as
+    coordinates and ``GabCode.syndrome`` as canonical elements.
+    """
+    tower, k = code.tower, code.k
+    size, q = tower._width * tower.m, tower._q
+    convolve, reduce = tower._convolve, tower._reduce
+    columns = [flat[j * size : (j + 1) * size] for j in range(code.n)]
+    heads = [x if any(x) else () for x in columns[:k]]
+    out = []
+    for row, tail in zip(code.parity_check.entries, columns[k:]):
+        terms = [(h, x) for h, x in zip(row, heads) if h and x]
+        e = math.lcm(*(h.den for h, _ in terms))
+        buf = [0] * tower._buffer_size
+        for h, x in terms:
+            convolve(buf, h.nums if h.den == e else [e // h.den * v for v in h.nums], x)
+        scale = e * q
+        if scale != 1:
+            tail = [scale * b for b in tail]
+        out.append((den * scale, list(map(operator.add, reduce(buf), tail))))
+    return out
 
 
 def _coerce_word(code: GabCode, word: Sequence, length: int) -> list[_Element]:

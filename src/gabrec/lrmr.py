@@ -2,9 +2,13 @@
 
 The measurement operator folds an m-by-n matrix over K into the vector of
 parity-check coordinates of the corresponding L-vector; it is K-linear and
-produces exactly m*(n-k) base-field numbers.  Recovery inverts the fold and
-hands the syndrome to the bounded-minimum-distance decoder, so matrices of
-rank up to floor((n-k)/2) come back bit-exact.
+produces exactly m*(n-k) base-field numbers.  It builds no element of L:
+the matrix's entries, column after column, are read once as the word's
+numerators over one denominator, and ``gabidulin._syndrome_nums``, which
+``GabCode.syndrome`` shares, gives each syndrome entry as numerators over
+a denominator, which are read off as its coordinates.  Recovery inverts
+the fold and hands the syndrome to the bounded-minimum-distance decoder,
+so matrices of rank up to floor((n-k)/2) come back bit-exact.
 
 Real and complex floating matrices enter the base field through one
 per-entry loop, decided by whether the base field contains i: one part per
@@ -23,8 +27,8 @@ from typing import Iterator, Sequence
 
 from .exact_algebra import QQ, Tower
 from .exact_linalg import Matrix, rank
-from .gabidulin import GabCode, code_to_descriptor, syndrome_decode
-from .rank_metric import ext, ext_inv
+from .gabidulin import GabCode, _syndrome_nums, code_to_descriptor, syndrome_decode
+from .rank_metric import ext
 
 __all__ = [
     "MeasurementRecord",
@@ -57,9 +61,11 @@ def measure(code: GabCode, matrix: Matrix) -> MeasurementRecord:
         raise ValueError("matrix entries must lie in the code's base field")
     if matrix.shape != (tower.m, code.n):
         raise ValueError(f"expected a {tower.m}x{code.n} matrix, got {matrix.shape}")
+    # the word's coordinates are the entries column after column
+    den, flat = tower._numerators([x for column in zip(*matrix.entries) for x in column])
     y: list = []
-    for entry in code.syndrome(ext_inv(tower, matrix)):
-        y.extend(entry.coords)
+    for d, nums in _syndrome_nums(code, den, flat):
+        y.extend(tower._coords(d, nums))
     return MeasurementRecord(tuple(y), code_to_descriptor(code))
 
 

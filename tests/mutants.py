@@ -83,6 +83,7 @@ RECORD = ("tests/test_lrmr.py::test_recover_validates_record",)
 LOADERS = ("tests/test_lrmr.py::test_loaders_refuse_malformed_json",)
 SUM = ("tests/test_exact_algebra.py::test_fused_sum_matches_term_by_term_sum",)
 TWIST = ("tests/test_exact_algebra.py::test_twist_table_matches_the_fused_sum",)
+SYNDROME = ("tests/test_gabidulin.py::test_syndrome_numerators_match_element_reference",)
 
 MUTANTS = (
     Mutant("kernel: skip the row swap", "exact_linalg.py",
@@ -177,6 +178,15 @@ MUTANTS = (
     Mutant("Moore solve: read each solution one column to the left", "gabidulin.py",
            "row[d + l] for row in reduced.entries", "row[d + l - 1] for row in reduced.entries",
            DECODE),
+    Mutant("syndrome: leave the tail unscaled by the row's H denominator", "gabidulin.py",
+           "tail = [scale * b for b in tail]", "tail = [q * b for b in tail]", SYNDROME),
+    Mutant("syndrome: leave q out of the denominator", "gabidulin.py",
+           "out.append((den * scale, ", "out.append((den * e, ", SYNDROME),
+    Mutant("syndrome: keep a row's buffer for the next row", "gabidulin.py",
+           "        buf = [0] * tower._buffer_size\n",
+           "        buf = buf if out else [0] * tower._buffer_size\n", SYNDROME),
+    Mutant("syndrome: skip the last head column", "gabidulin.py",
+           "for x in columns[:k]]", "for x in columns[: k - 1]]", SYNDROME),
     Mutant("theta_matrix: start one iterate late", "rank_metric.py",
            "row = [tower.coerce(x) for x in vector]",
            "row = [tower.coerce(x).theta() for x in vector]", RANK),
@@ -187,7 +197,8 @@ MUTANTS = (
     Mutant("recover: skip the record length check", "lrmr.py",
            "if len(record.y) != m * r:", "if False:", RECORD),
     Mutant("difference: add the subtrahend", "exact_algebra.py",
-           "return self + -other", "return self + other", ALGEBRA),
+           "[a - b for a, b in zip(self.nums, other.nums)]",
+           "[a + b for a, b in zip(self.nums, other.nums)]", ALGEBRA),
     Mutant("product: drop q from the denominator", "exact_algebra.py",
            "self.den * other.den * field._q", "self.den * other.den", ALGEBRA),
     Mutant("Kummer inverse: drop q from the norm division's denominator", "exact_algebra.py",
@@ -267,7 +278,7 @@ MUTANTS = (
            "c.nums if c.den == den else [den // c.den * x for x in c.nums]", "c.nums", TWIST),
     Mutant("twist table: drop q from the denominator", "exact_algebra.py",
            "return den * self._q, tuple(rows)", "return den, tuple(rows)", TWIST),
-    Mutant("table sums: drop the lcm rescale of an operand", "exact_algebra.py",
+    Mutant("common numerators: drop the lcm rescale of an element", "exact_algebra.py",
            "flat += x.nums if x.den == common else [common // x.den * v for v in x.nums]",
            "flat += x.nums", TWIST),
     Mutant("sum of products: drop the lcm rescale", "exact_algebra.py",

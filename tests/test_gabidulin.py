@@ -18,6 +18,7 @@ from conftest import (
     reference_skew_mul,
     reference_wb_decode,
     solve,
+    zero_matrix,
 )
 from gabrec import (
     DecodeResult,
@@ -27,6 +28,7 @@ from gabrec import (
     code_from_descriptor,
     code_to_descriptor,
     encode,
+    ext_inv,
     make_tower,
     measure,
     msp,
@@ -692,3 +694,79 @@ def test_code_constants_are_computed_on_first_use(zeta5, kummer4):
         recover(code, record)
         assert set(CACHED) <= vars(code).keys()
         assert not set(CACHED) & vars(dataclasses.replace(code)).keys()
+
+
+SYNDROME_TOWERS = {
+    "cyclotomic:5": ("cyclotomic", 5),
+    "cyclotomic:7": ("cyclotomic", 7),
+    "cyclotomic:11": ("cyclotomic", 11),
+    "kummer:4": ("kummer", 4, 2),
+    "kummer:4-3/2": ("kummer", 4, Fraction(3, 2)),
+    "kummer:8-3": ("kummer", 8, 3),
+    "kummer:12": ("kummer", 12, 2),
+}
+
+
+def reference_syndrome(code, word):
+    # s_i = x_(k+i) + sum_(j<k) H_ij x_j, term by term with the element operators
+    out = []
+    for row, s in zip(code.parity_check.entries, word[code.k :]):
+        for h, x in zip(row[: code.k], word):
+            s = s + h * x
+        out.append(s)
+    return out
+
+
+def fraction_scalar(tower, rng):
+    # a base-field element whose coordinates have unequal denominators
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    field = tower.scalar_field
+    return q() if tower.kind == "cyclotomic" else field.from_coords([q() for _ in range(field.m)])
+
+
+def custom_points(tower, n, rng):
+    # n points independent over K: basis vectors in a random order, each
+    # times a nonzero rational, the last added to the first
+    points = [Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6)) * b
+              for b in rng.sample(tower.basis, n)]
+    points[0] = points[0] + points[-1]
+    return points
+
+
+@pytest.mark.parametrize("params", SYNDROME_TOWERS.values(), ids=SYNDROME_TOWERS.keys())
+def test_syndrome_numerators_match_element_reference(params):
+    # measure and GabCode.syndrome form H word on numerators; the reference
+    # builds the word's elements and sums H_ij x_j with the element operators
+    tower = make_tower(*params)
+    field, m = tower.scalar_field, tower.m
+    rng = random.Random(22)
+    fractional_rows = 0
+    for n in sorted({m, m - 1, 2}):
+        for points in (None, custom_points(tower, n, rng)):
+            for k in range(1, n + 1):
+                code = build_code(tower, n, k, points)
+                fractional_rows += any(h.den > 1 for row in code.parity_check.entries
+                                       for h in row[:k])
+                grid = [[fraction_scalar(tower, rng) for _ in range(n)] for _ in range(m)]
+                for i in range(m):  # zero head column 0 and, for k < n, a zero tail column
+                    grid[i][0] = grid[i][n - 1] = field.zero
+                matrices = [
+                    zero_matrix(field, m, n),
+                    Matrix(field, grid, cols=n),
+                    random_low_rank(m, n, min(2, n), 5, rng, field=field),
+                ]
+                for matrix in matrices:
+                    word = ext_inv(tower, matrix)
+                    expected = reference_syndrome(code, word)
+                    y = measure(code, matrix).y
+                    reference_y = tuple(c for s in expected for c in s.coords)
+                    assert y == reference_y, (n, k)
+                    assert [type(v) for v in y] == [type(v) for v in reference_y]
+                    assert code.syndrome(word) == expected
+                scaled = [fraction_scalar(tower, rng) * x for x in rand_vector(tower, rng, n, 2)]
+                for word in (rand_vector(tower, rng, n, 3), scaled):
+                    assert code.syndrome(word) == reference_syndrome(code, word), (n, k)
+    # custom points give parity checks whose rows have denominators
+    assert fractional_rows
